@@ -8,7 +8,6 @@ package resilientft
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -202,63 +201,6 @@ func BenchmarkRequestLatency(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkThroughput measures aggregate request throughput with N
-// concurrent clients against each FTM. Each client writes its own
-// register so the clients contend on the request path (transport,
-// protocol, reply log, checkpointing), not on application state. The
-// req/s metric is the headline number; allocs/op tracks the per-request
-// allocation budget of the whole path.
-func BenchmarkThroughput(b *testing.B) {
-	for _, id := range core.DeployableSet() {
-		for _, clients := range []int{1, 8, 32, 64} {
-			b.Run(fmt.Sprintf("%s_%dclients", id, clients), func(b *testing.B) {
-				sys, err := ftm.NewSystem(context.Background(), ftm.SystemConfig{
-					System:            "bench",
-					FTM:               id,
-					HeartbeatInterval: 50 * time.Millisecond,
-					SuspectTimeout:    30 * time.Second,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sys.Shutdown()
-				cls := make([]*rpc.Client, clients)
-				for i := range cls {
-					if cls[i], err = sys.NewClient(rpc.WithCallTimeout(10 * time.Second)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := time.Now()
-				var wg sync.WaitGroup
-				for ci, c := range cls {
-					n := b.N / clients
-					if ci < b.N%clients {
-						n++
-					}
-					wg.Add(1)
-					go func(c *rpc.Client, op string, n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							if _, err := c.Invoke(context.Background(), op, ftm.EncodeArg(1)); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(c, fmt.Sprintf("add:r%d", ci), n)
-				}
-				wg.Wait()
-				elapsed := time.Since(start)
-				b.StopTimer()
-				if elapsed > 0 {
-					b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
-				}
-			})
-		}
 	}
 }
 

@@ -5,7 +5,9 @@
 //	benchsuite                  # all experiments
 //	benchsuite -exp table3      # one experiment
 //	benchsuite -runs 100        # the paper's repetition count
-//	benchsuite -exp bench -json BENCH.json   # request-path perf as JSON
+//
+// Request-path performance is not measured here: `bash bench/run.sh` is
+// the repository's one benchmark.
 package main
 
 import (
@@ -13,33 +15,23 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"resilientft/internal/experiments"
-	"resilientft/internal/telemetry"
-	"resilientft/internal/telemetry/runtimeprof"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig2|fig4|fig5|fig6|fig8|fig9|agility|sweep|ablation|bench|all")
-		runs     = flag.Int("runs", 100, "repetitions per timed measurement (the paper uses 100)")
-		root     = flag.String("root", ".", "repository root (for the SLOC figures)")
-		jsonPath = flag.String("json", "", "with -exp bench: write the perf report JSON to this file (stdout when empty)")
-		metrics  = flag.Bool("metrics", false, "with -exp bench: embed the flattened telemetry registry in the report")
-		shards   = flag.Int("shards", 4, "with -exp bench: measure routed throughput over N replica groups, plus the 1-group parity row (0 = skip the sharded family)")
-		sloOn    = flag.Bool("slo", true, "with -exp bench: run the SLO evaluator alongside the suite and embed its report")
+		exp  = flag.String("exp", "all", "experiment: table1|table2|table3|fig2|fig4|fig5|fig6|fig8|fig9|agility|sweep|ablation|all")
+		runs = flag.Int("runs", 100, "repetitions per timed measurement (the paper uses 100)")
+		root = flag.String("root", ".", "repository root (for the SLOC figures)")
 	)
 	flag.Parse()
 	ctx := context.Background()
-	// The runtime series ride along in -metrics reports and in RunMeta,
-	// same as under resilientd.
-	runtimeprof.Enable(telemetry.Default())
 
 	switch *exp {
 	case "table1", "table2", "table3", "fig2", "fig4", "fig5", "fig6", "fig8", "fig9",
-		"agility", "sweep", "ablation", "bench", "all":
+		"agility", "sweep", "ablation", "all":
 	default:
 		log.Fatalf("unknown experiment %q (see -exp in -help)", *exp)
 	}
@@ -137,28 +129,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(experiments.RenderSweep(points))
-	}
-	if *exp == "bench" {
-		// Deliberately not part of "all": the perf suite is the
-		// machine-readable request-path report (BENCH_pr1.json), not one
-		// of the paper's artifacts.
-		report, err := experiments.PerfSuite(ctx, *runs, *shards, *sloOn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *metrics {
-			report.Telemetry = telemetry.Default().Flatten()
-		}
-		data, err := report.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *jsonPath == "" {
-			fmt.Println(string(data))
-		} else if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	if want("ablation") {
 		section("Extra — differential vs monolithic replacement ablation")

@@ -20,7 +20,7 @@ func main() {
 	ctx := context.Background()
 
 	fmt.Println("== boot: PBR group of 3 (node0 primary, node1 and node2 backups) ==")
-	cluster, err := resilientft.NewCluster(ctx, resilientft.ClusterConfig{
+	cluster, err := resilientft.NewSystem(ctx, resilientft.SystemConfig{
 		System:            "ledger",
 		FTM:               resilientft.PBR,
 		Replicas:          3,
@@ -54,7 +54,7 @@ func main() {
 
 	fmt.Println("== both backups converge through broadcast checkpoints ==")
 	time.Sleep(100 * time.Millisecond)
-	for _, b := range cluster.LiveBackups() {
+	for _, b := range cluster.Slaves() {
 		fmt.Printf("   backup %s is synchronized\n", b.Host().Name())
 	}
 
@@ -62,7 +62,7 @@ func main() {
 	cluster.CrashMaster()
 	waitForMaster(cluster)
 	fmt.Printf("   new primary: %s (%d backup(s) left)\n",
-		cluster.Master().Host().Name(), len(cluster.LiveBackups()))
+		cluster.Master().Host().Name(), len(cluster.Slaves()))
 	invoke("get:balance", 0)
 	invoke("add:balance", 50)
 
@@ -75,7 +75,7 @@ func main() {
 	fmt.Println("done: two primary crashes, zero lost state.")
 }
 
-func waitForMaster(c *resilientft.Cluster) {
+func waitForMaster(c *resilientft.System) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if c.Master() != nil {

@@ -449,8 +449,8 @@ func ExampleEngine_transition() {
 	// Output: transitioned pbr -> lfr on 2 replicas
 }
 
-func TestTransitionClusterAppliesToEveryMember(t *testing.T) {
-	c, err := ftm.NewCluster(context.Background(), ftm.ClusterConfig{
+func TestTransitionSystemAppliesToEveryMember(t *testing.T) {
+	c, err := ftm.NewSystem(context.Background(), ftm.SystemConfig{
 		System:            "calc",
 		FTM:               core.PBR,
 		Replicas:          3,
@@ -471,9 +471,9 @@ func TestTransitionClusterAppliesToEveryMember(t *testing.T) {
 	}
 
 	engine := NewEngine(nil)
-	report, err := engine.TransitionCluster(context.Background(), c, core.LFR)
+	report, err := engine.TransitionSystem(context.Background(), c, core.LFR)
 	if err != nil {
-		t.Fatalf("TransitionCluster: %v", err)
+		t.Fatalf("TransitionSystem: %v", err)
 	}
 	if len(report.Replicas) != 3 || !report.Succeeded() {
 		t.Fatalf("report = %+v", report)

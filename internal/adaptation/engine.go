@@ -95,14 +95,7 @@ func (e *Engine) Repository() *Repository { return e.repo }
 // an error but the surviving replica, already reconfigured or not yet
 // touched, carries on under the failure detector's authority.
 func (e *Engine) TransitionSystem(ctx context.Context, sys *ftm.System, to core.ID) (*Report, error) {
-	replicas := sys.Replicas()
-	return e.TransitionReplicas(ctx, replicas[:], to)
-}
-
-// TransitionCluster executes the transition on every live member of a
-// multi-replica group.
-func (e *Engine) TransitionCluster(ctx context.Context, c *ftm.Cluster, to core.ID) (*Report, error) {
-	return e.TransitionReplicas(ctx, c.Replicas(), to)
+	return e.TransitionReplicas(ctx, sys.Replicas(), to)
 }
 
 // TransitionReplicas executes the transition on every live replica of

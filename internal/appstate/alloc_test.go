@@ -65,9 +65,10 @@ func TestAllocBudgetDeltaCheckpointRoundTrip(t *testing.T) {
 
 // FuzzCheckpointDecodeInPlace drives the full-checkpoint decode with
 // adversarial bytes: valid encodings, every-prefix truncations, a
-// length claim past MaxEnvelope on a short buffer, and gob-arm leads.
-// The decode may reject anything, but must never panic, and whatever it
-// accepts must re-encode to a decodable equivalent.
+// length claim past MaxEnvelope on a short buffer, and non-fast leads.
+// The decode may reject anything and must reject whatever does not open
+// with the fast tag, but must never panic, and whatever it accepts must
+// re-encode to a decodable equivalent.
 func FuzzCheckpointDecodeInPlace(f *testing.F) {
 	valid := Checkpoint{
 		AppState:     []byte("app-state-bytes"),
@@ -84,17 +85,19 @@ func FuzzCheckpointDecodeInPlace(f *testing.F) {
 	// behind it: the decoder must fail on the short buffer instead of
 	// trusting the claim.
 	f.Add(transport.AppendUvarint([]byte{transport.FastTag}, uint64(transport.MaxEnvelope)+1))
-	// Gob-arm leads: an actual gob encoding and a corrupt non-fast head.
-	if gobWire, err := EncodeCheckpoint(valid); err == nil {
-		f.Add(gobWire)
-		f.Add(gobWire[:len(gobWire)/2])
-	}
+	// Non-fast leads: an actual gob encoding and a corrupt non-fast head.
+	gobWire := gobBytes(f, valid)
+	f.Add(gobWire)
+	f.Add(gobWire[:len(gobWire)/2])
 	f.Add([]byte{0x03, 0xFF, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpointInPlace(data)
 		if err != nil {
 			return
+		}
+		if data[0] != transport.FastTag {
+			t.Fatalf("accepted a checkpoint that does not open with the fast tag: % x", data)
 		}
 		re := cp.AppendFast([]byte{transport.FastTag})
 		back, err := DecodeCheckpointInPlace(re)
@@ -118,10 +121,14 @@ func FuzzDeltaCheckpointDecodeInPlace(f *testing.F) {
 		f.Add(wire[:cut])
 	}
 	f.Add(transport.AppendUvarint([]byte{transport.FastTag, 0x01, 0x02}, uint64(transport.MaxEnvelope)+1))
+	f.Add(gobBytes(f, valid))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dc, err := DecodeDeltaCheckpointInPlace(data)
 		if err != nil {
 			return
+		}
+		if data[0] != transport.FastTag {
+			t.Fatalf("accepted a delta checkpoint that does not open with the fast tag: % x", data)
 		}
 		re := dc.AppendFast([]byte{transport.FastTag})
 		if _, err := DecodeDeltaCheckpointInPlace(re); err != nil {

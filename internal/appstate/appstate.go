@@ -168,23 +168,13 @@ func (r *Registers) Names() []string {
 	return out
 }
 
-// snapshot is the gob compatibility form of a full register capture.
-// New captures use the tagged fast layout (written by CaptureVersioned,
-// read by applySnapshot); decoding still accepts this form so captures
-// taken by older versions restore cleanly.
-type snapshot struct {
-	Regs map[string]int64
-}
-
-// regDelta is the compatibility form of a Registers write-set between
-// two versions. New captures encode the same fast wire layout directly
-// from the dirty cells; the type remains for the gob decode arm and for
-// mixed-version tests.
-type regDelta struct {
-	Base    uint64
-	To      uint64
-	Regs    map[string]int64
-	Deleted []string
+// errNotFast rejects a payload that does not open with the fast-codec
+// tag. Captures, deltas and checkpoints have one wire form, the tagged
+// fast layout; anything else is a codec mismatch, counted like the ones
+// transport.Decode finds.
+func errNotFast(what string) error {
+	transport.CountDrop(transport.DropCodecMismatch)
+	return fmt.Errorf("appstate: %s is not fast-coded", what)
 }
 
 // CaptureState serializes the register file.
@@ -228,9 +218,7 @@ func (r *Registers) CaptureVersioned() ([]byte, uint64, error) {
 // loops. The key aliases the capture buffer and must not be retained.
 type snapshotEntry func(key []byte, val int64) error
 
-// walkSnapshot decodes a full capture in either wire form: the tagged
-// fast layout is walked in place; gob captures (the compatibility arm)
-// are decoded and then walked.
+// walkSnapshot walks a full capture, in the tagged fast layout, in place.
 func walkSnapshot(data []byte, fn snapshotEntry) error {
 	if len(data) > 0 && data[0] == transport.FastTag {
 		rest := data[1:]
@@ -253,16 +241,7 @@ func walkSnapshot(data []byte, fn snapshotEntry) error {
 		}
 		return nil
 	}
-	var s snapshot
-	if err := transport.Decode(data, &s); err != nil {
-		return err
-	}
-	for k, v := range s.Regs {
-		if err := fn([]byte(k), v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return errNotFast("snapshot")
 }
 
 // setCell updates or creates name's cell without touching version
@@ -333,8 +312,8 @@ func (r *Registers) StateVersion() uint64 {
 }
 
 // CaptureDelta serializes the registers modified after version base,
-// encoding the regDelta fast wire layout directly from the dirty cells
-// (no intermediate map). Capturing compacts the dirty list: cells at or
+// encoding the fast wire layout directly from the dirty cells (no
+// intermediate map). Capturing compacts the dirty list: cells at or
 // below an acknowledged base are dead weight, since future captures only
 // ever ask for newer bases.
 func (r *Registers) CaptureDelta(base uint64) ([]byte, uint64, bool, error) {
@@ -389,33 +368,15 @@ func (r *Registers) CaptureDelta(base uint64) ([]byte, uint64, bool, error) {
 }
 
 // ApplyDelta applies a delta captured against this state's exact current
-// version. Fast-coded deltas — the steady state — are walked in place:
-// existing cells are mutated through a no-allocation map lookup, so a
-// backup applying the write-sets of a stable register population does
-// zero per-message heap allocation.
+// version. The delta is walked in place: existing cells are mutated
+// through a no-allocation map lookup, so a backup applying the
+// write-sets of a stable register population does zero per-message heap
+// allocation.
 func (r *Registers) ApplyDelta(delta []byte) (uint64, error) {
 	if len(delta) > 0 && delta[0] == transport.FastTag {
 		return r.applyDeltaFast(delta[1:])
 	}
-	// Compatibility arm: gob-coded delta from an older sender.
-	var d regDelta
-	if err := transport.Decode(delta, &d); err != nil {
-		return 0, fmt.Errorf("appstate: apply delta: %w", err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d.Base != r.version {
-		return r.version, fmt.Errorf("%w: at version %d, delta base %d", ErrDeltaBase, r.version, d.Base)
-	}
-	for k, v := range d.Regs {
-		c := r.setCell([]byte(k), v)
-		c.ver = d.To
-	}
-	for _, k := range d.Deleted {
-		r.tombstone([]byte(k), d.To)
-	}
-	r.adoptVersion(d.To)
-	return r.version, nil
+	return 0, errNotFast("delta")
 }
 
 func (r *Registers) applyDeltaFast(data []byte) (uint64, error) {
@@ -543,9 +504,7 @@ func (Opaque) RestoreState([]byte) error { return ErrNoAccess }
 // last request folded into the state.
 //
 // StateVersion carries the sender's state version for delta-capable
-// states (zero otherwise). Checkpoints now encode through the fast
-// codec; gob-coded checkpoints from older senders still decode through
-// the compatibility arm.
+// states (zero otherwise).
 type Checkpoint struct {
 	AppState     []byte
 	ReplyLog     []byte

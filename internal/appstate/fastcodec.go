@@ -2,26 +2,22 @@ package appstate
 
 import (
 	"fmt"
-	"sort"
 
 	"resilientft/internal/transport"
 )
 
 // Hand-rolled binary codecs for the checkpoint payloads. Under delta
-// checkpointing a DeltaCheckpoint (carrying a regDelta) crosses the
-// wire on every client request, and a full Checkpoint rides the
-// periodic refresh every few dozen commit waves, so all of them skip
-// gob the same way rpc.Request and rpc.Response do. Gob survives only
-// as the decode arm for payloads produced by older versions; a receiver
-// that cannot decode a delta NACKs it and the sender falls back to a
-// full checkpoint, so any codec mismatch degrades to a resync rather
-// than a stall.
+// checkpointing a DeltaCheckpoint (carrying a register write-set)
+// crosses the wire on every client request, and a full Checkpoint rides
+// the periodic refresh every few dozen commit waves, so all of them skip
+// gob the same way rpc.Request and rpc.Response do. A receiver that
+// cannot decode a delta NACKs it and the sender falls back to a full
+// checkpoint, so a codec mismatch degrades to a resync rather than a
+// stall.
 
 var (
 	_ transport.FastMarshaler   = DeltaCheckpoint{}
 	_ transport.FastUnmarshaler = (*DeltaCheckpoint)(nil)
-	_ transport.FastMarshaler   = regDelta{}
-	_ transport.FastUnmarshaler = (*regDelta)(nil)
 	_ transport.FastMarshaler   = Checkpoint{}
 	_ transport.FastUnmarshaler = (*Checkpoint)(nil)
 )
@@ -57,12 +53,7 @@ func (cp *Checkpoint) DecodeFast(data []byte) error {
 // path, which consumes both before the enclosing handler returns.
 func DecodeCheckpointInPlace(data []byte) (Checkpoint, error) {
 	if len(data) == 0 || data[0] != transport.FastTag {
-		// Scoped to the gob arm: transport.Decode's any parameter forces
-		// its argument to the heap, and a single shared variable would
-		// make the fast arm pay that allocation on every apply too.
-		var cp Checkpoint
-		err := transport.Decode(data, &cp)
-		return cp, err
+		return Checkpoint{}, errNotFast("checkpoint")
 	}
 	var cp Checkpoint
 	data = data[1:]
@@ -88,13 +79,7 @@ func DecodeCheckpointInPlace(data []byte) (Checkpoint, error) {
 // returns; callers that retain the parts must use the copying variant.
 func DecodeDeltaCheckpointInPlace(data []byte) (DeltaCheckpoint, error) {
 	if len(data) == 0 || data[0] != transport.FastTag {
-		// Only fast-coded payloads have a stable in-place layout; the
-		// gob arm copies anyway. The variable is scoped here so its
-		// heap escape (forced by Decode's any parameter) stays off the
-		// fast arm.
-		var dc DeltaCheckpoint
-		err := transport.Decode(data, &dc)
-		return dc, err
+		return DeltaCheckpoint{}, errNotFast("delta checkpoint")
 	}
 	var dc DeltaCheckpoint
 	data = data[1:]
@@ -143,67 +128,6 @@ func (dc *DeltaCheckpoint) DecodeFast(data []byte) error {
 	}
 	if dc.LastSeq, _, err = transport.ReadUvarint(data); err != nil {
 		return fmt.Errorf("appstate: delta checkpoint last seq: %w", err)
-	}
-	return nil
-}
-
-// AppendFast implements transport.FastMarshaler. Registers are written
-// in sorted key order so identical write-sets encode identically.
-func (d regDelta) AppendFast(buf []byte) []byte {
-	buf = transport.AppendUvarint(buf, d.Base)
-	buf = transport.AppendUvarint(buf, d.To)
-	keys := make([]string, 0, len(d.Regs))
-	for k := range d.Regs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf = transport.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = transport.AppendLenString(buf, k)
-		buf = transport.AppendVarint(buf, d.Regs[k])
-	}
-	buf = transport.AppendUvarint(buf, uint64(len(d.Deleted)))
-	for _, k := range d.Deleted {
-		buf = transport.AppendLenString(buf, k)
-	}
-	return buf
-}
-
-// DecodeFast implements transport.FastUnmarshaler.
-func (d *regDelta) DecodeFast(data []byte) error {
-	var err error
-	if d.Base, data, err = transport.ReadUvarint(data); err != nil {
-		return fmt.Errorf("appstate: reg delta base: %w", err)
-	}
-	if d.To, data, err = transport.ReadUvarint(data); err != nil {
-		return fmt.Errorf("appstate: reg delta to: %w", err)
-	}
-	var n uint64
-	if n, data, err = transport.ReadUvarint(data); err != nil {
-		return fmt.Errorf("appstate: reg delta count: %w", err)
-	}
-	d.Regs = make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v int64
-		if k, data, err = transport.ReadLenString(data); err != nil {
-			return fmt.Errorf("appstate: reg delta key %d: %w", i, err)
-		}
-		if v, data, err = transport.ReadVarint(data); err != nil {
-			return fmt.Errorf("appstate: reg delta value %q: %w", k, err)
-		}
-		d.Regs[k] = v
-	}
-	if n, data, err = transport.ReadUvarint(data); err != nil {
-		return fmt.Errorf("appstate: reg delta deleted count: %w", err)
-	}
-	d.Deleted = nil
-	for i := uint64(0); i < n; i++ {
-		var k string
-		if k, data, err = transport.ReadLenString(data); err != nil {
-			return fmt.Errorf("appstate: reg delta deleted %d: %w", i, err)
-		}
-		d.Deleted = append(d.Deleted, k)
 	}
 	return nil
 }

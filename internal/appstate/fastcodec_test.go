@@ -5,8 +5,6 @@ import (
 	"encoding/gob"
 	"reflect"
 	"testing"
-
-	"resilientft/internal/transport"
 )
 
 func TestDeltaCheckpointFastRoundTrip(t *testing.T) {
@@ -30,40 +28,86 @@ func TestDeltaCheckpointFastRoundTrip(t *testing.T) {
 	}
 }
 
+// The register write-set layout round-trips through capture and apply:
+// negative, large and zero values, and deletions.
 func TestRegDeltaFastRoundTrip(t *testing.T) {
-	in := regDelta{
-		Base:    3,
-		To:      9,
-		Regs:    map[string]int64{"a": -5, "b": 1 << 40, "c": 0},
-		Deleted: []string{"gone", "too"},
-	}
-	data, err := transport.Encode(in)
+	src := NewRegisters()
+	src.Set("a", 1)
+	onlyA, err := src.CaptureState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out regDelta
-	if err := transport.Decode(data, &out); err != nil {
+	src.Set("gone", 4)
+	src.Set("too", 5)
+	dst := NewRegisters()
+	full, ver, err := src.CaptureVersioned()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	if err := dst.ApplyFull(full, ver); err != nil {
+		t.Fatal(err)
+	}
+	base := src.StateVersion()
+	if err := src.RestoreState(onlyA); err != nil { // deletes "gone" and "too"
+		t.Fatal(err)
+	}
+	want := map[string]int64{"a": -5, "b": 1 << 40, "c": 0}
+	for k, v := range want {
+		src.Set(k, v)
+	}
+	delta, to, ok, err := src.CaptureDelta(base)
+	if err != nil || !ok {
+		t.Fatalf("CaptureDelta: ok=%v err=%v", ok, err)
+	}
+	if got, err := dst.ApplyDelta(delta); err != nil || got != to {
+		t.Fatalf("ApplyDelta = %d, %v; want %d", got, err, to)
+	}
+	if names := dst.Names(); !reflect.DeepEqual(names, []string{"a", "b", "c"}) {
+		t.Fatalf("registers after delta = %v, want [a b c]", names)
+	}
+	for k, v := range want {
+		if dst.Get(k) != v {
+			t.Fatalf("%s = %d, want %d", k, dst.Get(k), v)
+		}
 	}
 }
 
-// A delta produced by an older gob-only sender must still decode: the
-// fast codec only changes what this version emits, not what it accepts.
-func TestDeltaCheckpointDecodesGob(t *testing.T) {
-	in := DeltaCheckpoint{BaseVersion: 1, ToVersion: 2, Delta: []byte{9}, LastSeq: 4}
+// gobBytes is what a sender without the fast codecs would have put on
+// the wire for v.
+func gobBytes(tb testing.TB, v any) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		tb.Fatal(err)
 	}
-	out, err := DecodeDeltaCheckpoint(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// Checkpoint payloads have one wire form, the tagged fast layout. Gob
+// bytes and a truncated non-fast head must be refused with an error —
+// not a panic, not a silently zero value — by every decoder.
+func TestFastTypesRejectGob(t *testing.T) {
+	inputs := map[string][]byte{
+		"gob checkpoint":          gobBytes(t, Checkpoint{AppState: []byte{1}, LastSeq: 4}),
+		"gob delta checkpoint":    gobBytes(t, DeltaCheckpoint{BaseVersion: 1, ToVersion: 2, Delta: []byte{9}, LastSeq: 4}),
+		"gob register map":        gobBytes(t, map[string]int64{"x": 1}),
+		"truncated non-fast head": {0x03, 0xFF, 0x00},
+		"empty":                   nil,
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("gob decode: got %+v, want %+v", out, in)
+	decoders := map[string]func([]byte) error{
+		"DecodeCheckpoint":             func(b []byte) error { _, err := DecodeCheckpoint(b); return err },
+		"DecodeCheckpointInPlace":      func(b []byte) error { _, err := DecodeCheckpointInPlace(b); return err },
+		"DecodeDeltaCheckpoint":        func(b []byte) error { _, err := DecodeDeltaCheckpoint(b); return err },
+		"DecodeDeltaCheckpointInPlace": func(b []byte) error { _, err := DecodeDeltaCheckpointInPlace(b); return err },
+		"Registers.ApplyDelta":         func(b []byte) error { _, err := NewRegisters().ApplyDelta(b); return err },
+		"Registers.RestoreState":       func(b []byte) error { return NewRegisters().RestoreState(b) },
+	}
+	for dn, decode := range decoders {
+		for in, data := range inputs {
+			if err := decode(data); err == nil {
+				t.Errorf("%s accepted %s", dn, in)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package ftm
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"resilientft/internal/appstate"
@@ -47,5 +48,29 @@ func TestAllocBudgetSlaveApplyDecode(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("slave apply decode allocates %.0f/op, budget 0", allocs)
+	}
+}
+
+// The envelope has one wire form. Gob bytes — what a sender without the
+// fast codec would produce — and a truncated non-fast head are refused
+// with an error and counted as a codec mismatch.
+func TestEnvelopeRejectsGob(t *testing.T) {
+	var gobWire bytes.Buffer
+	if err := gob.NewEncoder(&gobWire).Encode(replicaEnvelope{Kind: KindReplica, From: "a", Payload: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"gob":                     gobWire.Bytes(),
+		"truncated non-fast head": {0x03, 0xFF, 0x00},
+		"empty":                   nil,
+	} {
+		before := transport.DropCount(transport.DropCodecMismatch)
+		var env replicaEnvelope
+		if err := decodeEnvelope(data, &env); err == nil {
+			t.Errorf("%s: decoded to %+v", name, env)
+		}
+		if got := transport.DropCount(transport.DropCodecMismatch); got != before+1 {
+			t.Errorf("%s: codec-mismatch drops = %d, want %d", name, got, before+1)
+		}
 	}
 }

@@ -484,8 +484,7 @@ func buildCheckpoint(ctx context.Context, state stateClient, log logClient, last
 		return nil, 0, 0, fmt.Errorf("ftm: checkpoint log snapshot: %w", err)
 	}
 	// The reply-log snapshot travels fast-coded (a ResponseList), like
-	// the delta tails; gob survives only as the decode arm for frames
-	// from older primaries. Both intermediate buffers are copied into the
+	// the delta tails. Both intermediate buffers are copied into the
 	// checkpoint envelope and recycled before returning.
 	logData, err := transport.EncodePooled(rpc.ResponseList(snap))
 	if err != nil {

@@ -2,6 +2,7 @@ package ftm
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,9 +10,9 @@ import (
 	"resilientft/internal/rpc"
 )
 
-func newTestCluster(t *testing.T, ftmID core.ID, n int) *Cluster {
+func newTestCluster(t *testing.T, ftmID core.ID, n int) *System {
 	t.Helper()
-	c, err := NewCluster(context.Background(), ClusterConfig{
+	c, err := NewSystem(context.Background(), SystemConfig{
 		System:            "calc",
 		FTM:               ftmID,
 		Replicas:          n,
@@ -19,7 +20,7 @@ func newTestCluster(t *testing.T, ftmID core.ID, n int) *Cluster {
 		SuspectTimeout:    60 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatalf("NewCluster(%s, %d): %v", ftmID, n, err)
+		t.Fatalf("NewSystem(%s, %d replicas): %v", ftmID, n, err)
 	}
 	t.Cleanup(c.Shutdown)
 	return c
@@ -41,8 +42,16 @@ func clusterInvoke(t *testing.T, c *rpc.Client, op string, arg int64) int64 {
 }
 
 func TestClusterRejectsTooFewReplicas(t *testing.T) {
-	if _, err := NewCluster(context.Background(), ClusterConfig{FTM: core.PBR, Replicas: 1}); err == nil {
-		t.Fatal("1-replica cluster accepted")
+	if _, err := NewSystem(context.Background(), SystemConfig{FTM: core.PBR, Replicas: 1}); err == nil {
+		t.Fatal("1-replica system accepted")
+	}
+}
+
+func TestClusterRestartReplicaUnsupported(t *testing.T) {
+	c := newTestCluster(t, core.PBR, 3)
+	c.CrashSlave()
+	if _, err := c.RestartReplica(context.Background(), 1); err == nil || !strings.Contains(err.Error(), "not supported") {
+		t.Fatalf("RestartReplica on a 3-replica group: err = %v, want an explicit not-supported error", err)
 	}
 }
 
@@ -54,12 +63,11 @@ func TestPBRClusterCheckpointsReachAllBackups(t *testing.T) {
 	}
 	clusterInvoke(t, client, "set:x", 42)
 	// The primary broadcasts checkpoints: both backups converge.
-	for i, backup := range c.LiveBackups() {
+	for _, backup := range c.Slaves() {
 		app := backup.App().(*Calculator)
 		waitUntil(t, 2*time.Second, func() bool {
 			return app.regs.Get("x") == 42
 		}, "backup never received the broadcast checkpoint")
-		_ = i
 	}
 }
 
@@ -72,7 +80,8 @@ func TestClusterSurvivesTwoSequentialMasterCrashes(t *testing.T) {
 	clusterInvoke(t, client, "set:x", 100)
 
 	// First crash: rank-1 takes over (its stagger delay is zero).
-	first := c.CrashMaster()
+	first := c.Master()
+	c.CrashMaster()
 	waitUntil(t, 10*time.Second, func() bool {
 		m := c.Master()
 		return m != nil && m != first
@@ -81,10 +90,11 @@ func TestClusterSurvivesTwoSequentialMasterCrashes(t *testing.T) {
 		t.Fatalf("after first failover: add = %d, want 101", got)
 	}
 	// Exactly one master: no split brain among survivors.
-	waitUntil(t, 5*time.Second, func() bool { return len(c.LiveBackups()) == 1 }, "backup count wrong after first failover")
+	waitUntil(t, 5*time.Second, func() bool { return len(c.Slaves()) == 1 }, "backup count wrong after first failover")
 
 	// Second crash: the last survivor takes over (master-alone).
-	second := c.CrashMaster()
+	second := c.Master()
+	c.CrashMaster()
 	waitUntil(t, 10*time.Second, func() bool {
 		m := c.Master()
 		return m != nil && m != second
@@ -122,7 +132,7 @@ func TestClusterStaggeredTakeoverIsSingular(t *testing.T) {
 	// The remaining backup re-pointed at the new master and keeps
 	// receiving checkpoints.
 	clusterInvoke(t, client, "set:x", 55)
-	backup := c.LiveBackups()[0].App().(*Calculator)
+	backup := c.Slaves()[0].App().(*Calculator)
 	waitUntil(t, 2*time.Second, func() bool {
 		return backup.regs.Get("x") == 55
 	}, "surviving backup no longer synchronized after re-pointing")
@@ -136,7 +146,7 @@ func TestLFRClusterAllFollowersCompute(t *testing.T) {
 	}
 	clusterInvoke(t, client, "set:x", 9)
 	clusterInvoke(t, client, "add:x", 1)
-	for _, backup := range c.LiveBackups() {
+	for _, backup := range c.Slaves() {
 		app := backup.App().(*Calculator)
 		waitUntil(t, 2*time.Second, func() bool {
 			return app.regs.Get("x") == 10
@@ -174,7 +184,7 @@ func TestClusterAdaptationAcrossAllReplicas(t *testing.T) {
 	if got := clusterInvoke(t, client, "add:x", 2); got != 7 {
 		t.Fatalf("post-transition add = %d", got)
 	}
-	for _, backup := range c.LiveBackups() {
+	for _, backup := range c.Slaves() {
 		app := backup.App().(*Calculator)
 		waitUntil(t, 2*time.Second, func() bool {
 			return app.regs.Get("x") == 7

@@ -47,8 +47,7 @@ func (e replicaEnvelope) AppendFast(buf []byte) []byte {
 	buf = transport.AppendLenString(buf, e.From)
 	buf = transport.AppendLenString(buf, e.System)
 	// Group is mandatory (empty = unsharded): the optional slot after
-	// Payload belongs to the trace trailer. Pre-group gob frames still
-	// decode through the compat arm.
+	// Payload belongs to the trace trailer.
 	buf = transport.AppendLenString(buf, e.Group)
 	buf = transport.AppendLenBytes(buf, e.Payload)
 	if e.Trace.Valid() {
@@ -95,8 +94,8 @@ func (e *replicaEnvelope) DecodeFast(data []byte) error {
 
 // decodeEnvelope is the apply-side decode: the concrete call keeps the
 // envelope on the caller's stack, where transport.Decode's any
-// parameter would heap-allocate it on every inter-replica message.
-// Non-fast frames take the gob compatibility arm via transport.Decode.
+// parameter would heap-allocate it on every inter-replica message. A
+// non-fast frame is a codec mismatch, which transport.Decode reports.
 func decodeEnvelope(data []byte, e *replicaEnvelope) error {
 	if len(data) == 0 || data[0] != transport.FastTag {
 		return transport.Decode(data, e)

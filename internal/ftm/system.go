@@ -14,23 +14,30 @@ import (
 	"resilientft/internal/transport"
 )
 
-// SystemConfig assembles a complete two-replica fault-tolerant system on
-// a simulated network.
+// SystemConfig assembles a complete fault-tolerant replica group — a
+// master and one or more slaves — on a simulated network.
 type SystemConfig struct {
 	// System names the protected application.
 	System string
-	// Group is the replica group (shard) ID both replicas carry; empty
+	// Group is the replica group (shard) ID every replica carries; empty
 	// for a classic unsharded pair. ShardedSystem sets it per group.
 	Group string
 	// FTM is the initial mechanism.
 	FTM core.ID
+	// Replicas is the group size: 0 means 2, fewer than 2 is rejected.
+	// Beyond two, the master broadcasts to every slave and the slaves
+	// take over with rank-staggered delays — the paper's "multiple
+	// Backups or Followers" variant.
+	Replicas int
 	// AppFactory builds one application instance per replica.
 	AppFactory func() Application
 	// Net is the network to attach to (a fresh seeded one when nil).
 	Net *transport.MemNetwork
-	// HostNames name the two hosts (default "alpha", "beta").
-	HostNames [2]string
-	// HeartbeatInterval and SuspectTimeout tune failover speed.
+	// HostNames name the hosts in rank order, one per replica (default
+	// "alpha", "beta" for a pair, "node0", "node1", ... beyond).
+	HostNames []string
+	// HeartbeatInterval and SuspectTimeout tune failover speed; beyond
+	// two replicas the suspect timeout is also the rank stagger unit.
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
 	// EventHook receives replica life-cycle events.
@@ -41,7 +48,7 @@ type SystemConfig struct {
 	StoreFactory func(hostName string) stablestore.Store
 }
 
-// System is a running two-replica fault-tolerant application plus the
+// System is a running replicated fault-tolerant application plus the
 // harness around it (network, hosts, registry) used by tests, examples
 // and the benchmark suite.
 type System struct {
@@ -50,29 +57,51 @@ type System struct {
 
 	mu       sync.Mutex
 	cfg      SystemConfig
-	hosts    [2]*host.Host
-	replicas [2]*Replica
+	hosts    []*host.Host // rank order; fixed after NewSystem
+	replicas []*Replica
 	clients  int
 }
 
-// NewSystem boots two hosts and deploys cfg.FTM with the master on the
-// first host.
-func NewSystem(ctx context.Context, cfg SystemConfig) (*System, error) {
+// NewSystem boots one host per replica and deploys cfg.FTM with the
+// master on the first host. When it fails, the hosts it created are
+// crashed again, so the network is left as it was found.
+func NewSystem(ctx context.Context, cfg SystemConfig) (_ *System, err error) {
 	if cfg.System == "" {
 		cfg.System = "app"
+	}
+	if cfg.Replicas == 0 {
+		cfg.Replicas = 2
+	}
+	if cfg.Replicas < 2 {
+		return nil, fmt.Errorf("ftm: a system needs at least 2 replicas, got %d", cfg.Replicas)
+	}
+	if _, err := core.Lookup(cfg.FTM); err != nil {
+		return nil, err
 	}
 	if cfg.AppFactory == nil {
 		cfg.AppFactory = func() Application { return NewCalculator() }
 	}
-	if cfg.HostNames[0] == "" {
-		cfg.HostNames = [2]string{"alpha", "beta"}
+	switch {
+	case len(cfg.HostNames) == 0 && cfg.Replicas == 2:
+		cfg.HostNames = []string{"alpha", "beta"}
+	case len(cfg.HostNames) == 0:
+		for i := 0; i < cfg.Replicas; i++ {
+			cfg.HostNames = append(cfg.HostNames, fmt.Sprintf("node%d", i))
+		}
+	case len(cfg.HostNames) != cfg.Replicas:
+		return nil, fmt.Errorf("ftm: %d host names for %d replicas", len(cfg.HostNames), cfg.Replicas)
 	}
 	if cfg.Net == nil {
 		cfg.Net = transport.NewMemNetwork(transport.WithSeed(1))
 	}
 	s := &System{Net: cfg.Net, Registry: NewRegistry(), cfg: cfg}
+	defer func() {
+		if err != nil {
+			s.Shutdown()
+		}
+	}()
 
-	for i, name := range cfg.HostNames {
+	for _, name := range cfg.HostNames {
 		var hostOpts []host.Option
 		if cfg.StoreFactory != nil {
 			hostOpts = append(hostOpts, host.WithStore(cfg.StoreFactory(name)))
@@ -81,11 +110,15 @@ func NewSystem(ctx context.Context, cfg SystemConfig) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.hosts[i] = h
+		s.hosts = append(s.hosts, h)
 	}
-	roles := [2]core.Role{core.RoleMaster, core.RoleSlave}
+	s.replicas = make([]*Replica, len(s.hosts))
 	for i := range s.hosts {
-		r, err := s.deployReplica(ctx, i, cfg.FTM, roles[i])
+		role := core.RoleSlave
+		if i == 0 {
+			role = core.RoleMaster
+		}
+		r, err := s.deployReplica(ctx, i, cfg.FTM, role)
 		if err != nil {
 			return nil, err
 		}
@@ -94,21 +127,34 @@ func NewSystem(ctx context.Context, cfg SystemConfig) (*System, error) {
 	return s, nil
 }
 
+// deployReplica deploys ftmID on host idx. A pair is wired peer to peer,
+// with no member list; a larger group gets the full membership, and its
+// slaves point at the rank-0 host as their master.
 func (s *System) deployReplica(ctx context.Context, idx int, ftmID core.ID, role core.Role) (*Replica, error) {
-	h := s.hosts[idx]
-	peer := s.hosts[1-idx].Addr()
-	if core.MustLookup(ftmID).Hosts < 2 {
-		peer = ""
+	desc, err := core.Lookup(ftmID)
+	if err != nil {
+		return nil, err
 	}
+	h := s.hosts[idx]
 	cfg := ReplicaConfig{
 		System:            s.cfg.System,
 		Group:             s.cfg.Group,
 		FTM:               ftmID,
 		Role:              role,
-		Peer:              peer,
 		App:               s.cfg.AppFactory(),
 		HeartbeatInterval: s.cfg.HeartbeatInterval,
 		SuspectTimeout:    s.cfg.SuspectTimeout,
+	}
+	switch {
+	case len(s.hosts) > 2:
+		for _, m := range s.hosts {
+			cfg.Members = append(cfg.Members, m.Addr())
+		}
+		if role != core.RoleMaster {
+			cfg.Peer = cfg.Members[0]
+		}
+	case desc.Hosts >= 2:
+		cfg.Peer = s.hosts[1-idx].Addr()
 	}
 	var opts []ReplicaOption
 	if s.cfg.EventHook != nil {
@@ -119,18 +165,19 @@ func (s *System) deployReplica(ctx context.Context, idx int, ftmID core.ID, role
 	return NewReplica(ctx, h, cfg, opts...)
 }
 
-// Hosts returns the two hosts.
-func (s *System) Hosts() [2]*host.Host {
+// Hosts returns the hosts in rank order.
+func (s *System) Hosts() []*host.Host {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hosts
+	return append([]*host.Host(nil), s.hosts...)
 }
 
-// Replicas returns the two replicas (some may be dead after crashes).
-func (s *System) Replicas() [2]*Replica {
+// Replicas returns the replicas in rank order (some may be dead after
+// crashes).
+func (s *System) Replicas() []*Replica {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.replicas
+	return append([]*Replica(nil), s.replicas...)
 }
 
 // Master returns the current master replica, or nil.
@@ -143,12 +190,21 @@ func (s *System) Master() *Replica {
 	return nil
 }
 
-// Slave returns the current slave replica, or nil.
-func (s *System) Slave() *Replica {
+// Slaves returns the live slave replicas in rank order.
+func (s *System) Slaves() []*Replica {
+	var out []*Replica
 	for _, r := range s.Replicas() {
 		if r != nil && !r.Host().Crashed() && r.Role() == core.RoleSlave {
-			return r
+			out = append(out, r)
 		}
+	}
+	return out
+}
+
+// Slave returns the first live slave replica, or nil.
+func (s *System) Slave() *Replica {
+	if sl := s.Slaves(); len(sl) > 0 {
+		return sl[0]
 	}
 	return nil
 }
@@ -224,8 +280,12 @@ func (s *System) crashReplica(r *Replica) int {
 // RestartReplica restarts a crashed host and redeploys its replica as a
 // slave of the surviving master, in the FTM committed to stable storage,
 // then pulls a checkpoint when the configuration supports it — the
-// recovery-of-adaptation path (§5.3).
+// recovery-of-adaptation path (§5.3). Rejoining a group of more than two
+// is not supported.
 func (s *System) RestartReplica(ctx context.Context, idx int) (*Replica, error) {
+	if n := len(s.hosts); n > 2 {
+		return nil, fmt.Errorf("ftm: restarting a replica of a %d-replica group is not supported", n)
+	}
 	s.mu.Lock()
 	h := s.hosts[idx]
 	system := s.cfg.System
@@ -299,7 +359,7 @@ func (s *System) RestartReplica(ctx context.Context, idx int) (*Replica, error) 
 	return r, nil
 }
 
-// Shutdown crashes both hosts, silencing all background activity.
+// Shutdown crashes every host, silencing all background activity.
 func (s *System) Shutdown() {
 	for _, h := range s.Hosts() {
 		if h != nil && !h.Crashed() {

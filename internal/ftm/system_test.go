@@ -9,6 +9,7 @@ import (
 	"resilientft/internal/core"
 	"resilientft/internal/host"
 	"resilientft/internal/rpc"
+	"resilientft/internal/stablestore"
 	"resilientft/internal/transport"
 )
 
@@ -342,5 +343,49 @@ func TestDeployedSchemesMatchCatalogue(t *testing.T) {
 			t.Errorf("%s slave scheme = %+v, want %+v", id, sScheme, desc.SlaveScheme)
 		}
 		s.Shutdown()
+	}
+}
+
+// A NewSystem that fails must report an error (never panic) and crash
+// the hosts it created, so the same network accepts a correct NewSystem
+// under the same host names afterwards.
+func TestNewSystemFailureLeavesNetworkClean(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*SystemConfig)
+	}{
+		{"unknown FTM", func(c *SystemConfig) { c.FTM = "nope" }},
+		{"bad system name", func(c *SystemConfig) { c.System = "a.b" }},
+		{"duplicate host name", func(c *SystemConfig) { c.HostNames = []string{"alpha", "alpha"} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewMemNetwork(transport.WithSeed(1))
+			bad := fastConfig(core.PBR)
+			bad.Net = net
+			tc.edit(&bad)
+			if _, err := NewSystem(context.Background(), bad); err == nil {
+				t.Fatal("NewSystem accepted the bad config")
+			}
+			good := fastConfig(core.PBR)
+			good.Net = net
+			s, err := NewSystem(context.Background(), good)
+			if err != nil {
+				t.Fatalf("NewSystem on the same network after a failed one: %v", err)
+			}
+			s.Shutdown()
+		})
+	}
+}
+
+func TestRestartReplicaUnknownStoredFTM(t *testing.T) {
+	s := newTestSystem(t, core.PBR)
+	s.Shutdown()
+	h := s.Hosts()[0]
+	if err := h.Store().Commit(stablestore.ConfigRecord{System: "calc", FTM: "nope", Version: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RestartReplica(context.Background(), 0); err == nil {
+		t.Fatal("RestartReplica deployed an unknown FTM")
 	}
 }

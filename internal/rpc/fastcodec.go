@@ -29,7 +29,6 @@ func (r Request) AppendFast(buf []byte) []byte {
 	// Group sits between Op and Payload as a mandatory field (empty =
 	// unsharded): the trailer slot after Payload is taken by the trace
 	// context, whose optionality depends on being the only thing there.
-	// Pre-group gob frames still decode through the compat arm.
 	buf = transport.AppendLenString(buf, r.Group)
 	buf = transport.AppendLenBytes(buf, r.Payload)
 	// Optional trace trailer: old decoders discard bytes past the last
@@ -70,8 +69,8 @@ func (r *Request) DecodeFast(data []byte) error {
 // aliases frame instead of being copied — the transport keeps the
 // inbound frame alive until the handler returns, and nothing on the
 // execute path retains the request payload past that point (anything
-// forwarded or logged is re-encoded into its own buffer). Non-fast
-// frames take the copying gob arm via transport.Decode.
+// forwarded or logged is re-encoded into its own buffer). A non-fast
+// frame is a codec mismatch, which transport.Decode reports.
 func (r *Request) decodeFrom(frame []byte) error {
 	if len(frame) == 0 || frame[0] != transport.FastTag {
 		return transport.Decode(frame, r)
@@ -172,9 +171,8 @@ func (r *Response) DecodeFast(data []byte) error {
 	return nil
 }
 
-// ResponseList is a fast-coded batch of responses: checkpoint-delta
-// reply-log tails travel as one of these. (Full checkpoint snapshots
-// stay gob-encoded []Response for wire compatibility across versions.)
+// ResponseList is a fast-coded batch of responses: reply-log snapshots
+// and checkpoint-delta reply-log tails travel as one of these.
 type ResponseList []Response
 
 // AppendFast implements transport.FastMarshaler.

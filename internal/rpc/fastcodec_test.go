@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"resilientft/internal/telemetry"
@@ -72,5 +73,43 @@ func TestRequestCodecMalformedTrailerIgnored(t *testing.T) {
 	}
 	if got.Trace.Valid() {
 		t.Fatalf("malformed trailer produced a trace: %+v", got.Trace)
+	}
+}
+
+// Request, Response and ResponseList have one wire form. Gob bytes —
+// what a sender without the fast codecs would produce — and a truncated
+// non-fast head are refused with an error and counted as a codec
+// mismatch, by transport.Decode and by the server loop's in-place decode.
+func TestFastTypesRejectGob(t *testing.T) {
+	gobOf := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	inputs := map[string][]byte{
+		"gob request":             gobOf(Request{ClientID: "c1", Seq: 1, Op: "add:x"}),
+		"gob response":            gobOf(Response{ClientID: "c1", Seq: 1}),
+		"gob response list":       gobOf([]Response{{ClientID: "c1", Seq: 1}}),
+		"truncated non-fast head": {0x03, 0xFF, 0x00},
+		"empty":                   nil,
+	}
+	decoders := map[string]func([]byte) error{
+		"Decode(*Request)":      func(b []byte) error { return transport.Decode(b, new(Request)) },
+		"Request.decodeFrom":    func(b []byte) error { return new(Request).decodeFrom(b) },
+		"Decode(*Response)":     func(b []byte) error { return transport.Decode(b, new(Response)) },
+		"Decode(*ResponseList)": func(b []byte) error { return transport.Decode(b, new(ResponseList)) },
+	}
+	for dn, decode := range decoders {
+		for in, data := range inputs {
+			before := transport.DropCount(transport.DropCodecMismatch)
+			if err := decode(data); err == nil {
+				t.Errorf("%s accepted %s", dn, in)
+			}
+			if got := transport.DropCount(transport.DropCodecMismatch); got != before+1 {
+				t.Errorf("%s on %s: codec-mismatch drops = %d, want %d", dn, in, got, before+1)
+			}
+		}
 	}
 }

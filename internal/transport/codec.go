@@ -18,7 +18,8 @@ var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // FastMarshaler. A gob stream always begins with a message byte count
 // encoded as an unsigned varint, whose first byte is either 0x01..0x7F
 // (small counts) or 0xF8..0xFF (negated byte-count prefix), so 0xD1 can
-// never open a gob stream and the two formats coexist on one wire.
+// never open a gob stream: Decode tells the two formats apart, and a
+// type has exactly one of them.
 const fastTag = 0xD1
 
 // FastTag is the public name of the fast-format tag byte, for codecs
@@ -30,7 +31,8 @@ const FastTag = fastTag
 // types (rpc requests and responses, replica envelopes) that encode
 // themselves with a hand-rolled binary layout instead of gob. Encode
 // recognizes the interface and emits the tagged fast format; Decode
-// dispatches on the tag. The appended body must be self-delimiting.
+// requires the tag for such a type. The appended body must be
+// self-delimiting.
 type FastMarshaler interface {
 	AppendFast(buf []byte) []byte
 }
@@ -84,8 +86,9 @@ func FastFrame() []byte {
 	return append(GetBuf(), fastTag)
 }
 
-// Decode deserializes data into v (a pointer), dispatching between the
-// fast format and gob on the leading tag byte.
+// Decode deserializes data into v (a pointer): the fast format into a
+// FastUnmarshaler, gob into the control-plane types that have no fast
+// codec. Data in the other type's format is a codec mismatch.
 func Decode(data []byte, v any) error {
 	if len(data) > 0 && data[0] == fastTag {
 		fu, ok := v.(FastUnmarshaler)
@@ -99,6 +102,10 @@ func Decode(data []byte, v any) error {
 		}
 		mDecodeFast.Inc()
 		return nil
+	}
+	if _, ok := v.(FastUnmarshaler); ok {
+		CountDrop(DropCodecMismatch)
+		return fmt.Errorf("transport: %T is fast-coded but the data is not", v)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
 		CountDrop(DropDecodeError)

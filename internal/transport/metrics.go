@@ -39,7 +39,7 @@ const (
 	DropClosed        = "closed"         // sender or receiver endpoint closed
 	DropNoHandler     = "no-handler"     // no handler registered for the kind
 	DropOversized     = "oversized"      // payload exceeded MaxEnvelope
-	DropCodecMismatch = "codec-mismatch" // fast-coded data hit a gob-only type
+	DropCodecMismatch = "codec-mismatch" // fast-coded data hit a gob-only type, or the reverse
 	DropDecodeError   = "decode-error"   // payload failed to decode
 	DropTCPDecode     = "tcp-decode"     // broken frame on a TCP connection
 	DropCallLoss      = "call-loss"      // LinkFault dropped a call or reply leg

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -23,10 +22,9 @@ const tcpReadBuffer = 64 << 10
 
 // tcpFrame is one message on a TCP connection: frames multiplexed over
 // a persistent connection, binary length-prefixed on the wire (see
-// tcpwire.go; gob streams from v1 peers are still decoded). ID
-// correlates a reply with its request, so many calls can be in flight
-// on one connection (pipelining) instead of one dial and one round-trip
-// at a time.
+// tcpwire.go). ID correlates a reply with its request, so many calls
+// can be in flight on one connection (pipelining) instead of one dial
+// and one round-trip at a time.
 type tcpFrame struct {
 	ID      uint64
 	From    string
@@ -159,26 +157,23 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// serve sniffs the stream format — one magic byte opens a binary v2
-// stream, anything else is a v1 gob stream — and runs the matching
-// loop. Gob is the compatibility arm: decoded when a v1 peer connects,
-// never chosen for new streams.
+// serve checks that the stream opens with the magic byte and serves it;
+// a stream that opens with anything else is closed.
 func (e *TCPEndpoint) serve(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, tcpReadBuffer)
-	first, err := br.Peek(1)
+	first, err := br.ReadByte()
 	if err != nil {
 		return // closed before the first byte
 	}
-	if first[0] == tcpMagic {
-		br.Discard(1)
-		e.serveBinary(conn, br)
+	if first != tcpMagic {
+		CountDrop(DropTCPDecode)
 		return
 	}
-	e.serveGob(conn, br)
+	e.serveBinary(conn, br)
 }
 
-// serveBinary handles one inbound v2 connection: length-prefixed frames
+// serveBinary handles one inbound connection: length-prefixed frames
 // in, coalesced reply writes out.
 func (e *TCPEndpoint) serveBinary(conn net.Conn, br *bufio.Reader) {
 	if _, err := conn.Write([]byte{tcpMagic}); err != nil {
@@ -253,63 +248,6 @@ func (e *TCPEndpoint) serveBinary(conn net.Conn, br *bufio.Reader) {
 			PutBuf(body)
 			w.enqueue(rb, false)
 		}(frame, body, h, ok)
-	}
-}
-
-// serveGob handles one inbound v1 connection — the gob compatibility
-// arm for peers that predate the binary framing.
-func (e *TCPEndpoint) serveGob(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	for {
-		var frame tcpFrame
-		if err := dec.Decode(&frame); err != nil {
-			// EOF is a connection simply closing; anything else is a
-			// broken frame the sender will never hear about.
-			if !errors.Is(err, io.EOF) {
-				CountDrop(DropTCPDecode)
-			}
-			return
-		}
-		e.mu.Lock()
-		h, ok := e.handlers[frame.Kind]
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
-			CountDrop(DropClosed)
-			return
-		}
-		mMessagesReceived.Inc()
-		mBytesReceived.Add(uint64(len(frame.Payload)))
-		inflight.Add(1)
-		go func(frame tcpFrame, h Handler, ok bool) {
-			defer inflight.Done()
-			pkt := Packet{From: Address(frame.From), To: e.addr, Kind: frame.Kind, Payload: frame.Payload}
-			reply := tcpFrame{ID: frame.ID}
-			if !ok {
-				CountDrop(DropNoHandler)
-				reply.Err = fmt.Sprintf("no handler for %q", frame.Kind)
-			} else {
-				out, err := h(context.Background(), pkt)
-				if err != nil {
-					reply.Err = err.Error()
-				} else {
-					reply.Payload = out
-				}
-			}
-			if frame.OneWay {
-				return
-			}
-			encMu.Lock()
-			err := enc.Encode(&reply)
-			encMu.Unlock()
-			if err != nil {
-				conn.Close() // wake the decode loop; the caller is gone
-			}
-		}(frame, h, ok)
 	}
 }
 
@@ -395,23 +333,21 @@ func (e *TCPEndpoint) dialAndRead(c *tcpConn, to Address) {
 }
 
 // readLoop dispatches reply frames to their waiting callers by ID. The
-// reply stream format is sniffed like the serve side's: binary from a
-// current peer, gob from a v1 one. On any decode error the connection
-// is dead: it leaves the pool and every pending call fails.
+// reply stream must open with the magic byte like the serve side's. On
+// any decode error the connection is dead: it leaves the pool and every
+// pending call fails.
 func (e *TCPEndpoint) readLoop(c *tcpConn, to Address) {
 	br := bufio.NewReaderSize(c.conn, tcpReadBuffer)
-	first, err := br.Peek(1)
-	if err != nil {
+	first, err := br.ReadByte()
+	if err != nil || first != tcpMagic {
+		if err == nil {
+			CountDrop(DropTCPDecode)
+		}
 		e.dropConn(to, c)
 		c.fail()
 		return
 	}
-	if first[0] == tcpMagic {
-		br.Discard(1)
-		e.readLoopBinary(c, to, br)
-		return
-	}
-	e.readLoopGob(c, to, br)
+	e.readLoopBinary(c, to, br)
 }
 
 func (e *TCPEndpoint) readLoopBinary(c *tcpConn, to Address, br *bufio.Reader) {
@@ -454,25 +390,6 @@ func (e *TCPEndpoint) readLoopBinary(c *tcpConn, to Address, br *bufio.Reader) {
 		// The frame payload aliases body; ownership moves to the caller,
 		// which may recycle it with PutBuf when done.
 		ch <- frame // buffered; one reply per ID
-	}
-}
-
-func (e *TCPEndpoint) readLoopGob(c *tcpConn, to Address, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		var frame tcpFrame
-		if err := dec.Decode(&frame); err != nil {
-			e.dropConn(to, c)
-			c.fail()
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[frame.ID]
-		delete(c.pending, frame.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- frame // buffered; one reply per ID
-		}
 	}
 }
 

@@ -10,13 +10,9 @@ import (
 
 // Binary TCP framing and the coalescing writer.
 //
-// A v2 stream opens with one magic byte and then carries length-prefixed
-// binary frames: [4-byte big-endian body length][body]. The magic byte
-// cannot open a gob stream (gob's first byte is a message length — a
-// single byte up to 0x7f, or a 0xFF/0xFE/0xFD byte-count marker for
-// realistic message sizes), so a receiver sniffs one byte and serves
-// either format: gob survives as the compatibility decode arm for peers
-// that still speak v1.
+// A stream opens with one magic byte and then carries length-prefixed
+// binary frames: [4-byte big-endian body length][body]. A receiver closes
+// a stream that opens with any other byte.
 //
 // Frames from concurrent senders — a commit wave's checkpoint plus the
 // request forwards and replies pipelined around it — coalesce in a
@@ -24,7 +20,7 @@ import (
 // net.Buffers write: one syscall per batch per peer instead of one per
 // frame.
 
-// tcpMagic opens a v2 stream in each direction.
+// tcpMagic opens a stream in each direction.
 const tcpMagic = 0xFB
 
 // tcpFrameOverhead bounds the frame body minus payload: ID, flags and
@@ -37,7 +33,7 @@ const (
 	tcpFlagOneWay = 1 << 0
 )
 
-// appendTCPFrame appends f as one length-prefixed v2 frame.
+// appendTCPFrame appends f as one length-prefixed frame.
 func appendTCPFrame(buf []byte, f *tcpFrame) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length prefix, fixed below
@@ -57,7 +53,7 @@ func appendTCPFrame(buf []byte, f *tcpFrame) []byte {
 	return buf
 }
 
-// decodeTCPFrame decodes one v2 frame body in place: From, Kind and Err
+// decodeTCPFrame decodes one frame body in place: From, Kind and Err
 // intern (tiny recurring sets), Payload aliases body. The caller owns
 // body until the frame's consumer is done with it.
 func decodeTCPFrame(body []byte, f *tcpFrame) error {

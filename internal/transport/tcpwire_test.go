@@ -206,9 +206,10 @@ func TestTCPRedialDoesNotReshipWrittenFrames(t *testing.T) {
 	}
 }
 
-// TestTCPGobCompatArm connects a v1 gob client by hand and checks the
-// server still decodes its stream and answers in gob.
-func TestTCPGobCompatArm(t *testing.T) {
+// TestTCPNonMagicStreamClosed dials by hand and opens with a gob frame
+// instead of the magic byte: the server closes the stream without
+// answering and counts it under transport_dropped_total{reason="tcp-decode"}.
+func TestTCPNonMagicStreamClosed(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -217,23 +218,24 @@ func TestTCPGobCompatArm(t *testing.T) {
 	srv.Handle("rpc", func(ctx context.Context, p Packet) ([]byte, error) {
 		return append([]byte("echo:"), p.Payload...), nil
 	})
+	before := DropCount(DropTCPDecode)
 
 	conn, err := net.Dial("tcp", string(srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(&tcpFrame{ID: 1, From: "v1", Kind: "rpc", Payload: []byte("legacy")}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(&tcpFrame{ID: 1, From: "v1", Kind: "rpc", Payload: []byte("legacy")}); err != nil {
 		t.Fatal(err)
 	}
-	dec := gob.NewDecoder(conn)
-	var reply tcpFrame
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatalf("gob reply: %v", err)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server answered a non-magic stream with %d byte(s)", n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server left a non-magic stream open")
 	}
-	if reply.ID != 1 || string(reply.Payload) != "echo:legacy" || reply.Err != "" {
-		t.Fatalf("gob reply: %+v", reply)
+	if got := DropCount(DropTCPDecode); got != before+1 {
+		t.Fatalf("tcp-decode drops = %d, want %d", got, before+1)
 	}
 }
 

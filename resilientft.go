@@ -102,7 +102,8 @@ const (
 
 // System assembly and applications.
 type (
-	// System is a running two-replica fault-tolerant application.
+	// System is a running replicated fault-tolerant application (one
+	// master, one or more slaves).
 	System = ftm.System
 	// SystemConfig configures NewSystem.
 	SystemConfig = ftm.SystemConfig
@@ -121,11 +122,6 @@ type (
 	Response = rpc.Response
 	// Network is the simulated network systems run on.
 	Network = transport.MemNetwork
-	// Cluster is a multi-replica fault-tolerant application (one master,
-	// N-1 backups with rank-staggered failover).
-	Cluster = ftm.Cluster
-	// ClusterConfig configures NewCluster.
-	ClusterConfig = ftm.ClusterConfig
 )
 
 // Adaptation machinery.
@@ -160,8 +156,9 @@ type (
 	Decision = resilience.Decision
 )
 
-// NewSystem boots a two-replica fault-tolerant system on a simulated
-// network.
+// NewSystem boots a fault-tolerant replica group on a simulated network:
+// a pair by default, or with SystemConfig.Replicas > 2 the paper's
+// "multiple Backups or Followers" variant.
 func NewSystem(ctx context.Context, cfg SystemConfig) (*System, error) {
 	return ftm.NewSystem(ctx, cfg)
 }
@@ -169,10 +166,6 @@ func NewSystem(ctx context.Context, cfg SystemConfig) (*System, error) {
 // NewReplica deploys a single replica on a host (see internal/host for
 // host construction); most callers want NewSystem.
 var NewReplica = ftm.NewReplica
-
-// NewCluster boots a multi-replica group (the paper's "multiple Backups
-// or Followers" variant).
-var NewCluster = ftm.NewCluster
 
 // NewCalculator returns the reference application.
 func NewCalculator() *Calculator { return ftm.NewCalculator() }

@@ -15,6 +15,12 @@
 //
 //	resilientd -listen 127.0.0.1:7001 -peer 127.0.0.1:7002 -role master -shards 4 &
 //	resilientd -listen 127.0.0.1:7002 -peer 127.0.0.1:7001 -role slave  -shards 4 &
+//
+// With -slo-degrade each shard runs one Resilience Management service
+// over the pair: a paging shard is a bandwidth-drop trigger, so both
+// replicas move PBR -> LFR (this one, then the peer's over the
+// management plane), and a shard whose budget has refilled returns to
+// PBR after 30 quiet -slo-interval polls.
 package main
 
 import (
@@ -36,6 +42,8 @@ import (
 	"resilientft/internal/ftm"
 	"resilientft/internal/host"
 	"resilientft/internal/mgmt"
+	"resilientft/internal/monitor"
+	"resilientft/internal/resilience"
 	"resilientft/internal/rpc"
 	"resilientft/internal/slo"
 	"resilientft/internal/stablestore"
@@ -70,7 +78,7 @@ func run() error {
 		sloP99      = flag.Duration("slo-latency-p99", 50*time.Millisecond, "per-shard latency objective (p99)")
 		sloAvail    = flag.Float64("slo-availability", 0.999, "per-shard availability objective")
 		sloEvery    = flag.Duration("slo-interval", time.Second, "SLO evaluation tick")
-		sloDegrade  = flag.Bool("slo-degrade", false, "let paging shards degrade this replica's FTM (and recover with hysteresis)")
+		sloDegrade  = flag.Bool("slo-degrade", false, "let paging shards degrade both replicas' FTM through Resilience Management (and recover with hysteresis)")
 	)
 	flag.Parse()
 
@@ -178,8 +186,9 @@ func run() error {
 
 	// Per-shard SLO engine: burn-rate accounting over the rpc layer's
 	// per-shard series, a diagnostic bundle (black box + pprof) on every
-	// page-grade breach, and — with -slo-degrade — an adaptation reactor
-	// per shard that sheds the FTM while the budget burns.
+	// page-grade breach, and — with -slo-degrade — one monitor and
+	// Resilience Management service per shard that sheds the pair's FTM
+	// while the budget burns.
 	var sloEng *slo.Engine
 	if *sloOn {
 		sloEng = slo.New(slo.Config{
@@ -195,12 +204,19 @@ func run() error {
 		defer sloEng.Stop()
 		srv.SetSLO(sloEng)
 		if *sloDegrade {
-			mgr := adaptation.NewShardManager(engine)
 			for _, r := range replicas {
-				mgr.ManageSLOReplica(r, sloEng, adaptation.SLOPolicy{Interval: *sloEvery})
+				svc := resilience.New(resilience.Config{
+					Group:      resilience.DaemonGroup(r, transport.Address(*peer), engine),
+					FaultModel: core.NewFaultModel(core.FaultCrash),
+					// The calculator's traits.
+					Traits:  core.AppTraits{Deterministic: true, StateAccess: true},
+					Manager: resilience.AutoApprove{},
+				})
+				mon := monitor.New(*sloEvery, svc.Sink())
+				resilience.InstallSLORules(mon, sloEng, rpc.ShardLabel(r.Group()))
+				mon.Start()
+				defer mon.Stop()
 			}
-			mgr.StartAll()
-			defer mgr.StopAll()
 		}
 	}
 

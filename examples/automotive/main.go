@@ -40,7 +40,7 @@ func main() {
 		return operatorApproves
 	})
 	svc := resilientft.NewResilience(resilientft.ResilienceConfig{
-		System:     sys,
+		Group:      resilientft.SystemGroup(sys, nil),
 		FaultModel: resilientft.NewFaultModel(resilientft.FaultCrash),
 		Traits:     resilientft.AppTraits{Deterministic: true, StateAccess: true, Version: "v1.0"},
 		Manager:    operator,

@@ -38,7 +38,7 @@ func main() {
 		return false
 	})
 	svc := resilientft.NewResilience(resilientft.ResilienceConfig{
-		System:     sys,
+		Group:      resilientft.SystemGroup(sys, nil),
 		FaultModel: resilientft.NewFaultModel(resilientft.FaultCrash),
 		Traits:     resilientft.AppTraits{Deterministic: true, StateAccess: true},
 		Manager:    manager,

@@ -58,8 +58,7 @@ func main() {
 		return groundApproves
 	})
 	svc := resilientft.NewResilience(resilientft.ResilienceConfig{
-		System:     sys,
-		Engine:     engine,
+		Group:      resilientft.SystemGroup(sys, engine),
 		FaultModel: resilientft.NewFaultModel(resilientft.FaultCrash),
 		Traits:     resilientft.AppTraits{Deterministic: true, StateAccess: true, Version: "fsw-1.0"},
 		Manager:    ground,

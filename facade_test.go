@@ -82,7 +82,7 @@ func TestPublicAPIResilienceLoop(t *testing.T) {
 	defer sys.Shutdown()
 
 	svc := NewResilience(ResilienceConfig{
-		System:     sys,
+		Group:      SystemGroup(sys, nil),
 		FaultModel: NewFaultModel(FaultCrash),
 		Traits:     AppTraits{Deterministic: true, StateAccess: true},
 		Manager:    AutoApprove{},

@@ -49,7 +49,7 @@ func TestHealthRuleFiresTrigger(t *testing.T) {
 	hm.Check()
 
 	var fired []core.Trigger
-	e := New(0, func(tr core.Trigger) { fired = append(fired, tr) })
+	e := New(0, func(_ string, tr core.Trigger) bool { fired = append(fired, tr); return true })
 	e.AddProbe(HealthProbe("m2-health", hm))
 	e.AddRule(Rule{
 		Name:      "cpu-health-drop",

@@ -98,8 +98,11 @@ const (
 // Rule maps a probe condition to an adaptation trigger. The rule is
 // edge-triggered with hysteresis: the condition must hold for Consecutive
 // samples to fire, and must clear before the rule can fire again — the
-// first line of defence against oscillation (§5.4).
+// first line of defence against oscillation (§5.4). A rule whose trigger
+// the sink failed to handle stays armed instead, and fires again on the
+// next poll while the condition holds.
 type Rule struct {
+	// Name identifies the rule to the sink (default: the probe name).
 	Name        string
 	Probe       string
 	Cond        Condition
@@ -121,6 +124,11 @@ type ruleState struct {
 	fired bool
 }
 
+// Sink receives each fired trigger with the name of the rule that fired
+// it, and returns false when handling failed: that rule then fires again
+// on the next poll while its condition holds.
+type Sink func(rule string, t core.Trigger) bool
+
 // Engine is the Monitoring Engine: it polls probes, evaluates rules and
 // emits triggers to its sink (typically the Resilience Management
 // Service).
@@ -129,7 +137,7 @@ type Engine struct {
 	probes map[string]Probe
 	rules  []Rule
 	states []ruleState
-	sink   func(core.Trigger)
+	sink   Sink
 	fired  []core.Trigger
 
 	interval time.Duration
@@ -141,7 +149,7 @@ type Engine struct {
 
 // New returns an engine polling at interval and delivering triggers to
 // sink (which may be nil; fired triggers are always also recorded).
-func New(interval time.Duration, sink func(core.Trigger)) *Engine {
+func New(interval time.Duration, sink Sink) *Engine {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
@@ -165,6 +173,9 @@ func (e *Engine) AddProbe(p Probe) {
 func (e *Engine) AddRule(r Rule) {
 	if r.Consecutive < 1 {
 		r.Consecutive = 1
+	}
+	if r.Name == "" {
+		r.Name = r.Probe
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -205,6 +216,7 @@ func (e *Engine) Poll() []core.Trigger {
 	e.mu.Unlock()
 
 	var out []core.Trigger
+	var firing []eval
 	for _, ev := range evals {
 		sample := ev.probe.Sample()
 		e.mu.Lock()
@@ -214,6 +226,7 @@ func (e *Engine) Poll() []core.Trigger {
 			if st.count >= ev.rule.Consecutive && !st.fired {
 				st.fired = true
 				out = append(out, ev.rule.Trigger)
+				firing = append(firing, ev)
 				e.fired = append(e.fired, ev.rule.Trigger)
 			}
 		} else {
@@ -223,8 +236,12 @@ func (e *Engine) Poll() []core.Trigger {
 		e.mu.Unlock()
 	}
 	if e.sink != nil {
-		for _, t := range out {
-			e.sink(t)
+		for _, ev := range firing {
+			if !e.sink(ev.rule.Name, ev.rule.Trigger) {
+				e.mu.Lock()
+				e.states[ev.idx].fired = false
+				e.mu.Unlock()
+			}
 		}
 	}
 	return out

@@ -98,10 +98,13 @@ func TestSinkReceivesTriggers(t *testing.T) {
 	res := host.NewResources(100, 0.9, 1.0)
 	var mu sync.Mutex
 	var got []core.Trigger
-	e := New(time.Hour, func(tr core.Trigger) {
+	var rules []string
+	e := New(time.Hour, func(rule string, tr core.Trigger) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, tr)
+		rules = append(rules, rule)
+		return true
 	})
 	e.AddProbe(BandwidthProbe("bw", res))
 	e.AddRule(Rule{Probe: "bw", Cond: Below, Threshold: 1000, Trigger: core.TrigBandwidthDrop})
@@ -110,6 +113,33 @@ func TestSinkReceivesTriggers(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 1 || got[0] != core.TrigBandwidthDrop {
 		t.Fatalf("sink received %v", got)
+	}
+	// An unnamed rule is named after its probe.
+	if len(rules) != 1 || rules[0] != "bw" {
+		t.Fatalf("sink saw rules %v, want [bw]", rules)
+	}
+}
+
+// TestFailedSinkRearmsRule: a trigger the sink failed to handle fires
+// again on the next poll while the condition holds, and a handled one
+// does not.
+func TestFailedSinkRearmsRule(t *testing.T) {
+	res := host.NewResources(100, 0.9, 1.0)
+	fail := true
+	calls := 0
+	e := New(time.Hour, func(string, core.Trigger) bool {
+		calls++
+		return !fail
+	})
+	e.AddProbe(BandwidthProbe("bw", res))
+	e.AddRule(Rule{Name: "bw-drop", Probe: "bw", Cond: Below, Threshold: 1000, Trigger: core.TrigBandwidthDrop})
+
+	e.Poll() // fires, handling fails
+	fail = false
+	e.Poll() // still below: fires again, handled
+	e.Poll() // handled: edge-triggered again, no refire
+	if calls != 2 {
+		t.Fatalf("sink called %d times, want 2 (one failure, one retry)", calls)
 	}
 }
 

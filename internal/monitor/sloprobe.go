@@ -1,9 +1,9 @@
 package monitor
 
-// SLO probes bridge the slo engine's conclusions into the rule
+// The SLO probe bridges the slo engine's conclusion into the rule
 // engine, the same way health probes bridge graded verdicts: sampled
-// as plain floats so threshold rules, hysteresis and triggers compose
-// unchanged. The probes take closures rather than the engine itself —
+// as a plain float so threshold rules, hysteresis and triggers compose
+// unchanged. The probe takes a closure rather than the engine itself —
 // monitor stays ignorant of slo's types, and tests feed synthetic
 // readings.
 
@@ -20,12 +20,4 @@ func SLOBreachProbe(name string, paging func() bool) Probe {
 		}
 		return 0
 	}}
-}
-
-// BurnRateProbe samples an error-budget burn rate (1.0 = spending the
-// budget exactly at the sustainable pace), for rules that want their
-// own thresholds rather than the engine's page/warn grading. Wire it
-// with the slo engine's Burn method.
-func BurnRateProbe(name string, burn func() float64) Probe {
-	return ProbeFunc{ProbeName: name, Fn: func() float64 { return burn() }}
 }

@@ -21,25 +21,13 @@ func TestSLOBreachProbeSamplesPaging(t *testing.T) {
 	}
 }
 
-func TestBurnRateProbeSamplesBurn(t *testing.T) {
-	burn := 0.0
-	p := BurnRateProbe("slo-burn-0", func() float64 { return burn })
-	if got := p.Sample(); got != 0 {
-		t.Fatalf("sample = %v, want 0", got)
-	}
-	burn = 14.4
-	if got := p.Sample(); got != 14.4 {
-		t.Fatalf("sample = %v, want 14.4", got)
-	}
-}
-
 // The breach probe composes with the rule engine like any resource
 // probe: `Above 0.5, Consecutive 2` fires once per confirmed paging
 // episode, edge-triggered.
 func TestSLOBreachRuleFiresOncePerEpisode(t *testing.T) {
 	paging := false
 	var fired []core.Trigger
-	e := New(0, func(tr core.Trigger) { fired = append(fired, tr) })
+	e := New(0, func(_ string, tr core.Trigger) bool { fired = append(fired, tr); return true })
 	e.AddProbe(SLOBreachProbe("slo-page", func() bool { return paging }))
 	e.AddRule(Rule{
 		Name:        "slo-page-confirmed",

@@ -5,6 +5,10 @@
 // mandatory transitions, through the system manager (man-in-the-loop)
 // for possible ones. The mandatory/possible asymmetry plus the manager
 // gate is what prevents FTM oscillation (§5.4).
+//
+// It is the one path from a measured signal to a transition: health
+// verdicts and SLO pages are monitor probes whose rules fire triggers
+// into Sink, and one Service runs per replica group.
 package resilience
 
 import (
@@ -13,9 +17,10 @@ import (
 	"sync"
 	"time"
 
-	"resilientft/internal/adaptation"
 	"resilientft/internal/core"
-	"resilientft/internal/ftm"
+	"resilientft/internal/monitor"
+	"resilientft/internal/rpc"
+	"resilientft/internal/telemetry"
 )
 
 // SystemManager is the man-in-the-loop deciding whether to execute a
@@ -67,9 +72,16 @@ const (
 	ActionFailed Action = "transition-failed"
 )
 
+// sourceManual attributes a decision to a direct HandleTrigger call
+// rather than to a monitor rule.
+const sourceManual = "manual"
+
 // Decision records how one trigger was handled.
 type Decision struct {
 	Trigger core.Trigger
+	// Source is the monitor rule that fired the trigger, or "manual"
+	// for a direct HandleTrigger call.
+	Source  string
 	From    core.ScenState
 	Edge    *core.ScenarioEdge
 	Action  Action
@@ -96,8 +108,8 @@ func (d Decision) String() string {
 
 // Config assembles a resilience service.
 type Config struct {
-	System *ftm.System
-	Engine *adaptation.Engine
+	// Group is the replica group the service adapts.
+	Group Group
 	// FaultModel is the initially required fault model.
 	FaultModel core.FaultModel
 	// Traits are the application's initial characteristics.
@@ -114,8 +126,7 @@ type Config struct {
 // Service is the Resilience Management Service.
 type Service struct {
 	mu        sync.Mutex
-	sys       *ftm.System
-	engine    *adaptation.Engine
+	group     Group
 	ft        core.FaultModel
 	traits    core.AppTraits
 	res       core.ResourceState
@@ -135,15 +146,11 @@ func New(cfg Config) *Service {
 	if cfg.Thresholds == (core.Thresholds{}) {
 		cfg.Thresholds = core.DefaultThresholds()
 	}
-	if cfg.Engine == nil {
-		cfg.Engine = adaptation.NewEngine(nil)
-	}
 	if cfg.Resources.Hosts == 0 {
 		cfg.Resources = core.ResourceState{BandwidthKbps: 10_000, CPUFree: 0.9, Energy: 1, Hosts: 2}
 	}
 	return &Service{
-		sys:     cfg.System,
-		engine:  cfg.Engine,
+		group:   cfg.Group,
 		ft:      cfg.FaultModel,
 		traits:  cfg.Traits,
 		res:     cfg.Resources,
@@ -152,13 +159,14 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Sink returns a trigger sink for the monitoring engine, delivering into
-// HandleTrigger with a background context.
-func (s *Service) Sink() func(core.Trigger) {
-	return func(t core.Trigger) {
+// Sink returns the monitoring engine's sink: each fired trigger is
+// handled with its rule as the decision's source, and a failed
+// transition is reported back so the rule fires again on the next poll.
+func (s *Service) Sink() monitor.Sink {
+	return func(rule string, t core.Trigger) bool {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		s.HandleTrigger(ctx, t)
+		return s.handle(ctx, rule, t).Action != ActionFailed
 	}
 }
 
@@ -184,23 +192,10 @@ func (s *Service) SetResources(r core.ResourceState) {
 	s.res = r
 }
 
-// currentFTM reads the live master's mechanism.
-func (s *Service) currentFTM() (core.ID, error) {
-	if m := s.sys.Master(); m != nil {
-		return m.FTM(), nil
-	}
-	for _, r := range s.sys.Replicas() {
-		if r != nil && !r.Host().Crashed() {
-			return r.FTM(), nil
-		}
-	}
-	return "", fmt.Errorf("resilience: no live replica")
-}
-
 // CheckConsistency validates the deployed FTM against the current
 // (FT, A, R) model.
 func (s *Service) CheckConsistency() ([]core.Inconsistency, error) {
-	id, err := s.currentFTM()
+	id, err := s.group.FTM()
 	if err != nil {
 		return nil, err
 	}
@@ -258,37 +253,52 @@ func (s *Service) applyTrigger(t core.Trigger) {
 // (FT, A, R) model, resolves the Figure 8 edge for the current state,
 // and executes or declines the corresponding transition.
 func (s *Service) HandleTrigger(ctx context.Context, trigger core.Trigger) Decision {
-	s.mu.Lock()
-	d := Decision{Trigger: trigger, At: time.Now()}
+	return s.handle(ctx, sourceManual, trigger)
+}
 
+// handle decides one trigger and records the decision: in the log, on
+// adaptation_decision_total{source,shard,decision}, and as one
+// adaptation/decision trace event.
+func (s *Service) handle(ctx context.Context, source string, trigger core.Trigger) Decision {
+	d := s.decide(ctx, Decision{Trigger: trigger, Source: source, At: time.Now()})
+	shard := rpc.ShardLabel(s.group.Shard())
+	telemetry.Default().Counter("adaptation_decision_total",
+		"source", source, "shard", shard, "decision", string(d.Action)).Inc()
+	telemetry.Emit("adaptation", "decision", 0,
+		"trigger", string(trigger), "source", source, "shard", shard,
+		"from", string(d.FromFTM), "to", string(d.ToFTM), "decision", string(d.Action))
+	s.mu.Lock()
+	s.decisions = append(s.decisions, d)
+	s.mu.Unlock()
+	return d
+}
+
+func (s *Service) decide(ctx context.Context, d Decision) Decision {
+	id, err := s.group.FTM()
+	s.mu.Lock()
 	var state core.ScenState
 	if s.deadEnd {
 		state = core.StNone
 	} else {
-		id, err := s.currentFTMLocked()
 		if err != nil {
-			d.Err = err
-			d.Action = ActionFailed
-			s.decisions = append(s.decisions, d)
 			s.mu.Unlock()
+			d.Err, d.Action = err, ActionFailed
 			return d
 		}
 		d.FromFTM = id
 		st, err := core.StateFor(id, s.traits)
 		if err != nil {
-			d.Err = err
-			d.Action = ActionFailed
-			s.decisions = append(s.decisions, d)
 			s.mu.Unlock()
+			d.Err, d.Action = err, ActionFailed
 			return d
 		}
 		state = st
 	}
 	d.From = state
-	s.applyTrigger(trigger)
+	s.applyTrigger(d.Trigger)
 	traits := s.traits
 
-	edges := core.Outgoing(state, trigger)
+	edges := core.Outgoing(state, d.Trigger)
 	var chosen *core.ScenarioEdge
 	var intra *core.ScenarioEdge
 	for i := range edges {
@@ -329,15 +339,7 @@ func (s *Service) HandleTrigger(ctx context.Context, trigger core.Trigger) Decis
 	if inc, err := s.CheckConsistency(); err == nil {
 		d.Inconsistencies = inc
 	}
-	s.mu.Lock()
-	s.decisions = append(s.decisions, d)
-	s.mu.Unlock()
 	return d
-}
-
-func (s *Service) currentFTMLocked() (core.ID, error) {
-	// currentFTM does not touch s.mu; safe to call with it held.
-	return s.currentFTM()
 }
 
 // executeEdge runs the transition an edge prescribes.
@@ -360,7 +362,7 @@ func (s *Service) executeEdge(ctx context.Context, d Decision, edge core.Scenari
 		d.Action = ActionIntra
 		return d
 	}
-	if _, err := s.engine.TransitionSystem(ctx, s.sys, target); err != nil {
+	if err := s.group.Transition(ctx, target); err != nil {
 		d.Action = ActionFailed
 		d.Err = err
 		return d

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"resilientft/internal/adaptation"
 	"resilientft/internal/core"
 	"resilientft/internal/ftm"
 	"resilientft/internal/monitor"
@@ -25,8 +24,7 @@ func newService(t *testing.T, ftmID core.ID, mgr SystemManager) (*Service, *ftm.
 	}
 	t.Cleanup(s.Shutdown)
 	svc := New(Config{
-		System:     s,
-		Engine:     adaptation.NewEngine(nil),
+		Group:      SystemGroup(s, nil),
 		FaultModel: core.NewFaultModel(core.FaultCrash),
 		Traits:     core.AppTraits{Deterministic: true, StateAccess: true},
 		Manager:    mgr,
@@ -335,7 +333,7 @@ func TestCurrentFTMFallsBackToSlave(t *testing.T) {
 	}
 	t.Cleanup(slow.Shutdown)
 	svc2 := New(Config{
-		System:     slow,
+		Group:      SystemGroup(slow, nil),
 		FaultModel: core.NewFaultModel(core.FaultCrash),
 		Traits:     core.AppTraits{Deterministic: true, StateAccess: true},
 	})

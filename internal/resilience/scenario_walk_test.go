@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"resilientft/internal/adaptation"
 	"resilientft/internal/core"
 	"resilientft/internal/ftm"
 )
@@ -95,8 +94,7 @@ func TestScenarioGraphWalk(t *testing.T) {
 			defer sys.Shutdown()
 
 			svc := New(Config{
-				System:     sys,
-				Engine:     adaptation.NewEngine(nil),
+				Group:      SystemGroup(sys, nil),
 				FaultModel: core.MustLookup(startFTM).Tolerates,
 				Traits:     traits,
 				Manager:    AutoApprove{},

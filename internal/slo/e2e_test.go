@@ -7,10 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"resilientft/internal/adaptation"
 	"resilientft/internal/appstate"
 	"resilientft/internal/core"
 	"resilientft/internal/ftm"
+	"resilientft/internal/monitor"
+	"resilientft/internal/resilience"
 	"resilientft/internal/rpc"
 	"resilientft/internal/slo"
 	"resilientft/internal/stablestore"
@@ -45,9 +46,10 @@ func (a *slowApp) Deterministic() bool { return a.calc.Deterministic() }
 // TestSLOBreachDrill is the end-to-end drill the ISSUE specifies: a
 // live PBR pair is driven past its latency objective, the engine pages
 // within the fast windows, the diagnostic bundle (black box + pprof)
-// lands in stable storage, the SLO reactor degrades the shard to LFR
-// with a traced cause, and — once the injected slowness is lifted and
-// the budget refills — recovers it back to PBR.
+// lands in stable storage, the daemon's SLO rules drive the shard's
+// Resilience Management service to degrade it to LFR with a traced
+// cause, and — once the injected slowness is lifted and the budget
+// refills — to recover it back to PBR.
 func TestSLOBreachDrill(t *testing.T) {
 	const group = "slo-e2e"
 	ctx := context.Background()
@@ -86,15 +88,16 @@ func TestSLOBreachDrill(t *testing.T) {
 	eng.Start()
 	defer eng.Stop()
 
-	mgr := adaptation.NewShardManager(nil)
-	mgr.ManageSLO(group, sys, eng, adaptation.SLOPolicy{
-		DegradeTo:     core.LFR,
-		RecoverBudget: 0.9,
-		RecoverAfter:  300 * time.Millisecond,
-		Interval:      20 * time.Millisecond,
+	svc := resilience.New(resilience.Config{
+		Group:      resilience.SystemGroup(sys, nil),
+		FaultModel: core.NewFaultModel(core.FaultCrash),
+		Traits:     core.AppTraits{Deterministic: true, StateAccess: true},
+		Manager:    resilience.AutoApprove{},
 	})
-	mgr.StartAll()
-	defer mgr.StopAll()
+	mon := monitor.New(20*time.Millisecond, svc.Sink())
+	resilience.InstallSLORules(mon, eng, group)
+	mon.Start()
+	defer mon.Stop()
 
 	// Background traffic for the whole drill; errors during transitions
 	// are part of the scenario, not failures.
@@ -130,31 +133,36 @@ func TestSLOBreachDrill(t *testing.T) {
 		t.Fatalf("%s never happened; slo snapshot: %+v", what, snap)
 	}
 
+	// A decision is counted once the whole pair has transitioned; the
+	// master alone reports the new FTM a little earlier.
+	reg := telemetry.Default()
+	executed := func(source string, to core.ID) func() bool {
+		c := reg.Counter("adaptation_decision_total", "source", source, "shard", group, "decision", "transition-executed")
+		before := c.Value()
+		return func() bool {
+			m := sys.Master()
+			return c.Value() > before && m != nil && m.FTM() == to
+		}
+	}
+
 	// Phase 1 — inject 10ms of per-request slowness: every request
 	// lands far past the ~4.2ms objective, both fast windows burn at
-	// ~1000x, and the reactor degrades the shard to LFR.
+	// ~1000x, and the page rule degrades the shard to LFR.
 	app.delay.Store(int64(10 * time.Millisecond))
-	waitFor("degrade to LFR", 10*time.Second, func() bool {
-		m := sys.Master()
-		return m != nil && m.FTM() == core.LFR
-	})
-
-	reg := telemetry.Default()
+	waitFor("counted degrade to LFR", 10*time.Second, executed("slo-page", core.LFR))
 	if c, ok := reg.FindCounter("slo_breaches_total", "shard", group, "grade", "page"); !ok || c.Value() == 0 {
 		t.Fatal("no page-grade breach counted")
 	}
-	if c, ok := reg.FindCounter("adaptation_shard_decision_total", "shard", group, "decision", "slo-degrade"); !ok || c.Value() == 0 {
-		t.Fatal("degrade decision not counted")
-	}
 
-	// The traced cause: the engine's breach event and the reactor's
+	// The traced cause: the engine's breach event and the service's
 	// decision event, both carrying the shard.
 	var sawBreach, sawDecision bool
 	for _, e := range telemetry.DefaultTracer().Since(0) {
 		if e.Kind == "slo" && e.Name == "breach" && e.Attrs["shard"] == group {
 			sawBreach = true
 		}
-		if e.Kind == "adaptation" && e.Name == "slo-degrade" && e.Attrs["shard"] == group {
+		if e.Kind == "adaptation" && e.Name == "decision" && e.Attrs["source"] == "slo-page" &&
+			e.Attrs["shard"] == group && e.Attrs["to"] == "lfr" {
 			sawDecision = true
 		}
 	}
@@ -217,14 +225,8 @@ func TestSLOBreachDrill(t *testing.T) {
 	}
 
 	// Phase 3 — lift the slowness: the fast windows drain, the budget
-	// refills past the recovery threshold, and after the quiet period
-	// the reactor restores PBR.
+	// refills past the recovery threshold, and after the quiet polls the
+	// recovery rule restores PBR.
 	app.delay.Store(0)
-	waitFor("recovery to PBR", 20*time.Second, func() bool {
-		m := sys.Master()
-		return m != nil && m.FTM() == core.PBR
-	})
-	if c, ok := reg.FindCounter("adaptation_shard_decision_total", "shard", group, "decision", "slo-recover"); !ok || c.Value() == 0 {
-		t.Fatal("recover decision not counted")
-	}
+	waitFor("counted recovery to PBR", 20*time.Second, executed("slo-recover", core.PBR))
 }

@@ -9,10 +9,10 @@
 //
 // On a page-grade breach the engine fires its capture hook (the
 // diagnostic bundle: flight-recorder black box plus pprof profiles,
-// persisted via stablestore) and its breach hook (the adaptation
-// layer's SLO reactors). The engine only concludes and raises; what
-// to *do* about a burning shard is the Adaptation Engine's decision,
-// per the paper's separation of monitoring from adaptation.
+// persisted via stablestore) and its breach hook. The engine only
+// concludes and raises; what to *do* about a burning shard is decided
+// by Resilience Management, whose monitor rules sample Paging and
+// Snapshot, per the paper's separation of monitoring from adaptation.
 package slo
 
 import (
@@ -337,18 +337,6 @@ func (e *Engine) Paging(shard string) bool {
 	return ok && s.grade == GradePage
 }
 
-// Burn returns the shard's fast-long-window burn rate — the headline
-// number a burn-rate probe samples.
-func (e *Engine) Burn(shard string) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.shards[shard]
-	if !ok {
-		return 0
-	}
-	return s.burns[1]
-}
-
 // WindowStat is one window's standing in a snapshot.
 type WindowStat struct {
 	Window     string  `json:"window"`
@@ -359,7 +347,7 @@ type WindowStat struct {
 }
 
 // ShardSnapshot is one shard's full SLO standing: the /slo document's
-// per-shard row and the reading the adaptation reactors consume.
+// per-shard row and the reading the SLO recovery probe samples.
 type ShardSnapshot struct {
 	Shard           string        `json:"shard"`
 	Objective       Objective     `json:"objective"`

@@ -157,8 +157,8 @@ func TestPageOnFastBurnAndRecovery(t *testing.T) {
 	if !e.Paging("0") {
 		t.Fatal("100% slow traffic did not page")
 	}
-	if e.Burn("0") < 100 {
-		t.Fatalf("burn = %v, want >> 14.4", e.Burn("0"))
+	if snap, _ := e.Snapshot("0"); snap.Windows[1].Burn < 100 {
+		t.Fatalf("burn = %v, want >> 14.4", snap.Windows[1].Burn)
 	}
 	if len(breaches) != 1 || breaches[0].Grade != GradePage {
 		t.Fatalf("breaches = %+v, want one page", breaches)

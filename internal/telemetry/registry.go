@@ -49,11 +49,6 @@ type metric struct {
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric
-	// byName indexes series by base name so family-wide reads
-	// (SumCounters) touch only the family, not every series — probes
-	// tick these reads continuously and the series count grows with
-	// label cardinality.
-	byName map[string][]*metric
 
 	// collectors run before each export (Snapshot, WritePrometheus) so
 	// pull-style sources — runtime metrics, anything sampled rather
@@ -67,7 +62,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		metrics: make(map[string]*metric),
-		byName:  make(map[string][]*metric),
 	}
 }
 
@@ -135,7 +129,6 @@ func (r *Registry) lookup(name string, labels []string, kind metricKind, make fu
 	m = &metric{name: name, labels: sorted, kind: kind}
 	make(m)
 	r.metrics[key] = m
-	r.byName[name] = append(r.byName[name], m)
 	return m
 }
 
@@ -166,22 +159,6 @@ func (r *Registry) FindHistogram(name string, labels ...string) (*Histogram, boo
 		return nil, false
 	}
 	return m.histogram, true
-}
-
-// SumCounters returns the summed value of every counter series
-// registered under the base name, across all label sets — the reading a
-// rate probe wants when the family splits one logical event stream by
-// reason or status.
-func (r *Registry) SumCounters(name string) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var total uint64
-	for _, m := range r.byName[name] {
-		if m.kind == kindCounter {
-			total += m.counter.Value()
-		}
-	}
-	return total
 }
 
 // FindCounter returns the counter registered under (name, labels)

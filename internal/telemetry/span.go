@@ -261,8 +261,7 @@ func (r *SpanRecorder) ForTrace(traceID uint64) []Span {
 	return out
 }
 
-// Named returns the retained spans with the given name, oldest first —
-// the read the trace-derived monitor probes make.
+// Named returns the retained spans with the given name, oldest first.
 func (r *SpanRecorder) Named(name string) []Span {
 	var out []Span
 	for i := range r.ring {

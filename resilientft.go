@@ -184,6 +184,10 @@ var BuildTransitionPackage = adaptation.BuildPackage
 // NewResilience returns the Resilience Management Service.
 func NewResilience(cfg ResilienceConfig) *Resilience { return resilience.New(cfg) }
 
+// SystemGroup is a System as the resilience service adapts it; engine
+// executes its transitions (a fresh one when nil).
+var SystemGroup = resilience.SystemGroup
+
 // NewMonitor returns a Monitoring Engine.
 var NewMonitor = monitor.New
 

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,7 +61,6 @@ func run() error {
 	var (
 		listen      = flag.String("listen", "127.0.0.1:7001", "address to listen on")
 		peer        = flag.String("peer", "", "peer replica address (empty for single-host FTMs)")
-		members     = flag.String("members", "", "comma-separated full membership for multi-replica groups (rank order, master first)")
 		system      = flag.String("system", "calc", "protected application name")
 		ftmFlag     = flag.String("ftm", "pbr", "initial FTM (pbr, lfr, tr, pbr_tr, lfr_tr, a_pbr, a_lfr)")
 		role        = flag.String("role", "master", "initial role (master or slave)")
@@ -84,6 +82,9 @@ func run() error {
 
 	if _, err := core.Lookup(core.ID(*ftmFlag)); err != nil {
 		return err
+	}
+	if *sloDegrade && !*sloOn {
+		return fmt.Errorf("-slo-degrade needs the SLO engine, but -slo=false turns it off")
 	}
 	ep, err := transport.ListenTCP(*listen)
 	if err != nil {
@@ -137,16 +138,6 @@ func run() error {
 	h.Health().Start(*healthEvery)
 	defer h.Health().Stop()
 
-	var memberList []transport.Address
-	if *members != "" {
-		for _, m := range strings.Split(*members, ",") {
-			m = strings.TrimSpace(m)
-			if m != "" {
-				memberList = append(memberList, transport.Address(m))
-			}
-		}
-	}
-
 	ctx := context.Background()
 	if *shards < 1 {
 		*shards = 1
@@ -170,7 +161,6 @@ func run() error {
 			FTM:               core.ID(*ftmFlag),
 			Role:              core.Role(*role),
 			Peer:              transport.Address(*peer),
-			Members:           memberList,
 			App:               ftm.NewCalculator(),
 			HeartbeatInterval: *heartbeat,
 			SuspectTimeout:    *suspect,

@@ -24,7 +24,7 @@ func main() {
 	sys, err := resilientft.NewSystem(ctx, resilientft.SystemConfig{
 		System:            "drivefn",
 		FTM:               resilientft.LFR,
-		HostNames:         []string{"ecu-1", "ecu-2"},
+		HostNames:         [2]string{"ecu-1", "ecu-2"},
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectTimeout:    120 * time.Millisecond,
 	})

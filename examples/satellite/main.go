@@ -39,7 +39,7 @@ func main() {
 			}
 			return calc
 		},
-		HostNames:         []string{"obc-a", "obc-b"},
+		HostNames:         [2]string{"obc-a", "obc-b"},
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectTimeout:    120 * time.Millisecond,
 	})

@@ -450,17 +450,7 @@ func ExampleEngine_transition() {
 }
 
 func TestTransitionSystemAppliesToEveryMember(t *testing.T) {
-	c, err := ftm.NewSystem(context.Background(), ftm.SystemConfig{
-		System:            "calc",
-		FTM:               core.PBR,
-		Replicas:          3,
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectTimeout:    60 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
+	c := newSystem(t, core.PBR)
 	client, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +465,7 @@ func TestTransitionSystemAppliesToEveryMember(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TransitionSystem: %v", err)
 	}
-	if len(report.Replicas) != 3 || !report.Succeeded() {
+	if len(report.Replicas) != 2 || !report.Succeeded() {
 		t.Fatalf("report = %+v", report)
 	}
 	for _, r := range c.Replicas() {
@@ -490,13 +480,11 @@ func TestTransitionSystemAppliesToEveryMember(t *testing.T) {
 			t.Fatalf("%s scheme %+v", r.Host().Name(), scheme)
 		}
 	}
-	// The transitioned group still serves and the followers compute.
-	resp, err = client.Invoke(context.Background(), "add:x", ftm.EncodeArg(4))
-	if err != nil {
-		t.Fatal(err)
+	// The transitioned pair still serves and the follower computes.
+	if got := invoke(t, client, "add:x", 4); got != 7 {
+		t.Fatalf("post-transition add = %d", got)
 	}
-	v, _ := ftm.DecodeResult(resp.Payload)
-	if v != 7 {
-		t.Fatalf("post-transition add = %d", v)
-	}
+	follower := c.Slave().App().(*ftm.Calculator)
+	waitUntil(t, 2*time.Second, func() bool { return followerValue(follower) == 7 },
+		"follower does not compute after the pair's transition")
 }

@@ -28,9 +28,7 @@ type Heartbeater struct {
 	ep          transport.Endpoint
 	interval    time.Duration
 	sendTimeout time.Duration
-
-	mu    sync.Mutex
-	peers []transport.Address
+	peers       []transport.Address // fixed at construction
 
 	stop chan struct{}
 	done chan struct{}
@@ -52,13 +50,6 @@ func NewHeartbeater(ep transport.Endpoint, interval time.Duration, peers ...tran
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-}
-
-// SetPeers replaces the peer set.
-func (h *Heartbeater) SetPeers(peers ...transport.Address) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.peers = append([]transport.Address(nil), peers...)
 }
 
 // Start launches the heartbeat loop.
@@ -84,14 +75,11 @@ func (h *Heartbeater) Start() {
 // beat itself never waits — the next tick's sends overlap a stalled
 // one rather than queueing behind it.
 func (h *Heartbeater) beat() {
-	h.mu.Lock()
-	peers := append([]transport.Address(nil), h.peers...)
-	h.mu.Unlock()
 	timeout := h.sendTimeout
 	if timeout <= 0 {
 		timeout = h.interval
 	}
-	for _, p := range peers {
+	for _, p := range h.peers {
 		go func(p transport.Address) {
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()

@@ -131,6 +131,67 @@ func TestRejoinUnderLFRTransfersStateAndReplyLog(t *testing.T) {
 	}
 }
 
+// TestPairSurvivesTwoSequentialMasterCrashes walks the pair through two
+// master crashes with a rejoin in between: the slave takes over, the
+// crashed master restarts as its slave, then the new master crashes and
+// the rejoined replica takes over. Every acknowledged write must survive
+// both failovers, in the state and in the reply log.
+func TestPairSurvivesTwoSequentialMasterCrashes(t *testing.T) {
+	s := newTestSystem(t, core.PBR)
+	c, err := s.NewClient(rpc.WithCallTimeout(time.Second), rpc.WithMaxRounds(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	invoke(t, c, "set:x", 100) // seq 1
+
+	first := s.Master()
+	idx := s.CrashMaster()
+	if idx < 0 {
+		t.Fatal("no master to crash")
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		m := s.Master()
+		return m != nil && m != first
+	}, "no takeover after the first master crash")
+	if got := invoke(t, c, "add:x", 1); got != 101 { // seq 2
+		t.Fatalf("after first failover: add = %d, want 101", got)
+	}
+
+	rejoined, err := s.RestartReplica(ctx, idx)
+	if err != nil {
+		t.Fatalf("RestartReplica: %v", err)
+	}
+	if got := invoke(t, c, "add:x", 1); got != 102 { // seq 3
+		t.Fatalf("after rejoin: add = %d, want 102", got)
+	}
+
+	s.CrashMaster()
+	waitUntil(t, 5*time.Second, func() bool { return s.Master() == rejoined },
+		"rejoined replica never took over after the second master crash")
+	for _, w := range []struct {
+		seq  uint64
+		op   string
+		arg  int64
+		want int64
+	}{{1, "set:x", 100, 100}, {2, "add:x", 1, 101}, {3, "add:x", 1, 102}} {
+		resp, err := c.Redeliver(ctx, w.seq, w.op, EncodeArg(w.arg))
+		if err != nil {
+			t.Fatalf("redeliver seq %d: %v", w.seq, err)
+		}
+		v, err := DecodeResult(resp.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Replayed || v != w.want {
+			t.Fatalf("seq %d: replayed=%v value %d, want a replay of %d", w.seq, resp.Replayed, v, w.want)
+		}
+	}
+	if got := invoke(t, c, "get:x", 0); got != 102 {
+		t.Fatalf("state after two failovers = %d, want 102", got)
+	}
+}
+
 // TestPromotionResolvesSplitBrainProactively pins the promotion-time
 // split-brain check. A promotion can complete into split brain with no
 // detector edge left to fire — e.g. a partition that heals while the

@@ -28,12 +28,6 @@ type ReplicaConfig struct {
 	Role core.Role
 	// Peer is the other replica's address (empty for single-host FTMs).
 	Peer transport.Address
-	// Members is the full ordered membership of a multi-replica group
-	// (index 0 = initial master); empty for classic duplex pairs. With
-	// members set, a master broadcasts to every other member and backups
-	// promote with rank-staggered delays (the paper's "multiple Backups
-	// or Followers" variant).
-	Members []transport.Address
 	// App is the protected application.
 	App Application
 	// Retention bounds the reply log (responses per client).
@@ -126,32 +120,6 @@ func DeployFTM(ctx context.Context, h *host.Host, cfg ReplicaConfig, control Con
 		retention = 64
 	}
 
-	// Resolve the peer set: classic duplex pairs unicast to their single
-	// peer; multi-replica masters broadcast to every other member while
-	// backups talk to (and watch) the master.
-	peerList := []string{string(cfg.Peer)}
-	watch := string(cfg.Peer)
-	if len(cfg.Members) > 0 {
-		if cfg.Role == core.RoleMaster {
-			peerList = peerList[:0]
-			for _, m := range cfg.Members {
-				if m != h.Addr() {
-					peerList = append(peerList, string(m))
-				}
-			}
-			if len(peerList) > 0 {
-				watch = peerList[0]
-			}
-		} else {
-			master := cfg.Peer
-			if master == "" {
-				master = cfg.Members[0]
-			}
-			peerList = []string{string(master)}
-			watch = string(master)
-		}
-	}
-
 	// Infrastructure components (the stable common parts).
 	infra := []struct {
 		typ   string
@@ -164,11 +132,11 @@ func DeployFTM(ctx context.Context, h *host.Host, cfg ReplicaConfig, control Con
 		{typ: TypeReplyLog, props: map[string]any{"retention": retention}},
 		{typ: TypeServer, props: map[string]any{"app": cfg.App}},
 		{typ: TypePeer, props: map[string]any{
-			"endpoint": h.Endpoint(), "peers": peerList, "system": cfg.System,
+			"endpoint": h.Endpoint(), "peer": string(cfg.Peer), "system": cfg.System,
 			"group": cfg.Group,
 		}, skip: desc.Hosts < 2},
 		{typ: TypeDetector, props: map[string]any{
-			"endpoint": h.Endpoint(), "peer": watch, "crash": h.CrashSwitch(),
+			"endpoint": h.Endpoint(), "peer": string(cfg.Peer), "crash": h.CrashSwitch(),
 			"interval": cfg.HeartbeatInterval, "timeout": cfg.SuspectTimeout,
 			"health": h.Health(),
 		}, skip: desc.Hosts < 2},

@@ -63,11 +63,11 @@ var (
 	_ component.PropertyReceiver = (*detectorContent)(nil)
 )
 
-// SetProperty re-points the watched peer at runtime (membership changes
-// after a failover in a multi-replica group) or injects a clock-skew
-// offset into the live watchdog (the chaos engine's clock fault).
+// SetProperty injects a clock-skew offset into the live watchdog (the
+// chaos engine's clock fault) or re-arms the verdict for one peer.
 func (d *detectorContent) SetProperty(name string, value any) error {
-	if name == "clock-skew" {
+	switch name {
+	case "clock-skew":
 		var skew time.Duration
 		switch v := value.(type) {
 		case time.Duration:
@@ -88,9 +88,7 @@ func (d *detectorContent) SetProperty(name string, value any) error {
 		if wd != nil {
 			wd.SetSkew(skew)
 		}
-		return nil
-	}
-	if name == "reset" {
+	case "reset":
 		// Re-arm the verdict for one peer: out-of-band proof of life (a
 		// role-query reply during split-brain resolution) arrived while
 		// the watchdog may still be holding an unrecovered suspicion.
@@ -99,17 +97,9 @@ func (d *detectorContent) SetProperty(name string, value any) error {
 		// this a replica demoted mid-suspicion would never see another
 		// suspicion edge for that peer — re-anchor the model and clear
 		// the reported edge so the next real silence fires fresh.
-		var peer transport.Address
-		switch v := value.(type) {
-		case string:
-			peer = transport.Address(v)
-		case transport.Address:
-			peer = v
-		default:
-			return fmt.Errorf("ftm: detector reset property is %T", value)
-		}
-		if peer == "" {
-			return nil
+		peer, err := addressProp("detector reset", value)
+		if err != nil || peer == "" {
+			return err
 		}
 		d.mu.Lock()
 		wd := d.wd
@@ -117,33 +107,6 @@ func (d *detectorContent) SetProperty(name string, value any) error {
 		d.mu.Unlock()
 		if wd != nil {
 			wd.Forget(peer)
-			wd.Monitor(peer)
-		}
-		return nil
-	}
-	if name != "peer" {
-		return nil
-	}
-	var peer transport.Address
-	switch v := value.(type) {
-	case string:
-		peer = transport.Address(v)
-	case transport.Address:
-		peer = v
-	default:
-		return fmt.Errorf("ftm: detector peer property is %T", value)
-	}
-	d.mu.Lock()
-	old := d.peer
-	d.peer = peer
-	hb, wd := d.hb, d.wd
-	d.mu.Unlock()
-	if hb != nil {
-		hb.SetPeers(peer)
-	}
-	if wd != nil && old != peer {
-		wd.Forget(old)
-		if peer != "" {
 			wd.Monitor(peer)
 		}
 	}

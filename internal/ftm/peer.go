@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -117,90 +116,51 @@ func isPeerRefusal(err error) bool {
 	return err != nil && strings.Contains(err.Error(), ErrNotSlave.Error())
 }
 
-// peerContent bridges the FTM composite to the remote replica set:
-// outbound inter-replica calls go through its single "send" service, so
-// the rest of the FTM never touches the transport directly. With one
-// peer it unicasts; with several (the paper's "multiple Backups or
-// Followers" variant) it broadcasts best-effort, succeeding when at
-// least one peer answered.
+// peerContent bridges the FTM composite to the other replica of the
+// pair: outbound inter-replica calls go through its single "send"
+// service, so the rest of the FTM never touches the transport directly.
 type peerContent struct {
 	mu      sync.Mutex
 	ep      transport.Endpoint
-	peers   []transport.Address
+	peer    transport.Address
 	system  string
 	group   string
 	timeout time.Duration
 }
 
 func newPeerContent(ep transport.Endpoint, peer transport.Address, system, group string) *peerContent {
-	p := &peerContent{ep: ep, system: system, group: group, timeout: 2 * time.Second}
-	if peer != "" {
-		p.peers = []transport.Address{peer}
-	}
-	return p
+	return &peerContent{ep: ep, peer: peer, system: system, group: group, timeout: 2 * time.Second}
 }
 
 var _ component.Content = (*peerContent)(nil)
 
-// parsePeers accepts a single address, a comma-separated list, or typed
-// slices — "peers" must stay settable from an fscript `set` statement.
-func parsePeers(value any) ([]transport.Address, error) {
+// addressProp reads an address-valued property, settable both as a
+// string (an fscript `set` statement) and as a transport.Address.
+func addressProp(name string, value any) (transport.Address, error) {
 	switch v := value.(type) {
 	case string:
-		if v == "" {
-			return nil, nil
-		}
-		var out []transport.Address
-		for _, part := range strings.Split(v, ",") {
-			part = strings.TrimSpace(part)
-			if part != "" {
-				out = append(out, transport.Address(part))
-			}
-		}
-		return out, nil
+		return transport.Address(v), nil
 	case transport.Address:
-		if v == "" {
-			return nil, nil
-		}
-		return []transport.Address{v}, nil
-	case []string:
-		out := make([]transport.Address, 0, len(v))
-		for _, s := range v {
-			if s != "" {
-				out = append(out, transport.Address(s))
-			}
-		}
-		return out, nil
-	case []transport.Address:
-		return append([]transport.Address(nil), v...), nil
+		return v, nil
 	default:
-		return nil, fmt.Errorf("ftm: peer address property is %T", value)
+		return "", fmt.Errorf("ftm: %s property is %T", name, value)
 	}
 }
 
-// SetProperty accepts peer-set updates (reconfiguration when replicas
-// are replaced or the membership changes).
+// SetProperty re-points the bridge (reconfiguration when the other
+// replica is replaced).
 func (p *peerContent) SetProperty(name string, value any) error {
-	switch name {
-	case "peer", "peers":
-		peers, err := parsePeers(value)
-		if err != nil {
-			return err
-		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		p.peers = peers
-		return nil
-	default:
+	if name != "peer" {
 		return nil // unknown properties are inert
 	}
-}
-
-// Peers returns the current peer set.
-func (p *peerContent) Peers() []transport.Address {
+	peer, err := addressProp("peer", value)
+	if err != nil {
+		return err
+	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]transport.Address(nil), p.peers...)
+	p.peer = peer
+	p.mu.Unlock()
+	return nil
 }
 
 func (p *peerContent) Invoke(ctx context.Context, service string, msg component.Message) (component.Message, error) {
@@ -220,9 +180,9 @@ func (p *peerContent) Invoke(ctx context.Context, service string, msg component.
 	payload, _ := msg.Payload.([]byte)
 
 	p.mu.Lock()
-	ep, peers, system, group, timeout := p.ep, append([]transport.Address(nil), p.peers...), p.system, p.group, p.timeout
+	ep, peer, system, group, timeout := p.ep, p.peer, p.system, p.group, p.timeout
 	p.mu.Unlock()
-	if len(peers) == 0 {
+	if peer == "" {
 		return component.Message{}, ErrNoPeer
 	}
 	env := replicaEnvelope{Kind: kind, From: string(ep.Addr()), System: system, Group: group, Payload: payload}
@@ -230,7 +190,6 @@ func (p *peerContent) Invoke(ctx context.Context, service string, msg component.
 		telemetry.ParseSpanContext(msg.MetaValue(MetaTrace)), "ftm.peer.ship")
 	if sp != nil {
 		sp.SetAttr("kind", kind)
-		sp.SetAttr("peers", strconv.Itoa(len(peers)))
 		env.Trace = sp.Context()
 		defer sp.End()
 	}
@@ -238,69 +197,21 @@ func (p *peerContent) Invoke(ctx context.Context, service string, msg component.
 	// every send (per request under LFR forwarding).
 	data := env.AppendFast(transport.FastFrame())
 
-	// Best-effort broadcast: every peer is attempted and the reply of the
-	// lowest-indexed success is returned; total failure reports ErrNoPeer.
-	if len(peers) == 1 {
-		callCtx, cancel := context.WithTimeout(ctx, timeout)
-		reply, err := ep.Call(callCtx, peers[0], KindReplica, data)
-		cancel()
-		// The envelope buffer recycles once the call resolved either way;
-		// only an ambiguous outcome (context expiry with the handler
-		// possibly still reading it) leaks it to the garbage collector.
-		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-			transport.PutBuf(data)
-		}
-		if err != nil {
-			sp.SetAttr("outcome", "error")
-			if isPeerRefusal(err) {
-				return component.Message{}, fmt.Errorf("ftm: peer refused: %w", err)
-			}
-			return component.Message{}, fmt.Errorf("%w: %v", ErrNoPeer, err)
-		}
-		return component.NewMessage("ok", reply), nil
+	callCtx, cancel := context.WithTimeout(ctx, timeout)
+	reply, err := ep.Call(callCtx, peer, KindReplica, data)
+	cancel()
+	// The envelope buffer recycles once the call resolved either way;
+	// only an ambiguous outcome (context expiry with the handler
+	// possibly still reading it) leaks it to the garbage collector.
+	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+		transport.PutBuf(data)
 	}
-	// Multiple peers fan out concurrently, so a dead peer costs the
-	// broadcast max(timeout) instead of stacking its timeout in front of
-	// every live peer behind it.
-	type outcome struct {
-		idx   int
-		reply []byte
-		err   error
-	}
-	results := make(chan outcome, len(peers))
-	for i, peer := range peers {
-		go func(i int, peer transport.Address) {
-			callCtx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			reply, err := ep.Call(callCtx, peer, KindReplica, data)
-			results <- outcome{idx: i, reply: reply, err: err}
-		}(i, peer)
-	}
-	best := -1
-	var firstReply []byte
-	var lastErr, refusal error
-	for range peers {
-		r := <-results
-		if r.err != nil {
-			lastErr = r.err
-			if isPeerRefusal(r.err) {
-				refusal = r.err
-			}
-			continue
-		}
-		if best == -1 || r.idx < best {
-			best = r.idx
-			firstReply = r.reply
-		}
-	}
-	if best == -1 {
+	if err != nil {
 		sp.SetAttr("outcome", "error")
-		// A refusal among the failures means at least one peer is alive:
-		// the broadcast must not look like "no live peer" to the wave.
-		if refusal != nil {
-			return component.Message{}, fmt.Errorf("ftm: peer refused: %w", refusal)
+		if isPeerRefusal(err) {
+			return component.Message{}, fmt.Errorf("ftm: peer refused: %w", err)
 		}
-		return component.Message{}, fmt.Errorf("%w: %v", ErrNoPeer, lastErr)
+		return component.Message{}, fmt.Errorf("%w: %v", ErrNoPeer, err)
 	}
-	return component.NewMessage("ok", firstReply), nil
+	return component.NewMessage("ok", reply), nil
 }

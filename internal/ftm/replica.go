@@ -359,9 +359,7 @@ func (r *Replica) CurrentScheme() (core.Scheme, error) {
 // --- Control callbacks ---------------------------------------------------
 
 // OnPeerChange reacts to failure-detector transitions: a slave promotes
-// itself when the master goes silent (the duplex recovery action). In a
-// multi-replica group backups promote with rank-staggered delays so that
-// exactly one survivor takes over.
+// itself when the master goes silent (the duplex recovery action).
 func (r *Replica) OnPeerChange(suspected bool) {
 	if suspected {
 		mPeerSuspected.Inc()
@@ -374,14 +372,8 @@ func (r *Replica) OnPeerChange(suspected bool) {
 	}
 	r.mu.Lock()
 	role := r.cfg.Role
-	multi := len(r.cfg.Members) > 2
 	r.mu.Unlock()
 	if suspected && role == core.RoleSlave {
-		if multi {
-			r.event("master suspected: entering staggered takeover")
-			go r.considerPromotion()
-			return
-		}
 		r.event("peer suspected: promoting")
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -404,117 +396,6 @@ func (r *Replica) OnPeerChange(suspected bool) {
 	}
 }
 
-// rank returns this replica's position in the static membership order
-// (0 = initial master), or -1 outside a multi-replica group.
-func (r *Replica) rank() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, m := range r.cfg.Members {
-		if m == r.h.Addr() {
-			return i
-		}
-	}
-	return -1
-}
-
-// members returns the static membership.
-func (r *Replica) members() []transport.Address {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]transport.Address(nil), r.cfg.Members...)
-}
-
-// considerPromotion is the multi-replica takeover protocol: wait a delay
-// proportional to this backup's rank, then promote only if no other
-// member already answers as master; otherwise re-point to the new master
-// and stay a backup.
-func (r *Replica) considerPromotion() {
-	r.mu.Lock()
-	stagger := r.cfg.SuspectTimeout
-	r.mu.Unlock()
-	if stagger <= 0 {
-		stagger = 80 * time.Millisecond
-	}
-	rank := r.rank()
-	if rank > 1 {
-		time.Sleep(time.Duration(rank-1) * stagger)
-	}
-	if r.Role() != core.RoleSlave || r.h.Crashed() {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if master := r.findLiveMaster(ctx); master != "" {
-		r.event(fmt.Sprintf("takeover already handled by %s: re-pointing", master))
-		if err := r.repointTo(master); err != nil {
-			r.event(fmt.Sprintf("re-pointing failed: %v", err))
-		}
-		return
-	}
-	// Re-point the bridge at the other members BEFORE the role flips: a
-	// slave never ships, so the early rewiring is inert until promotion
-	// completes, and the first post-promotion wave broadcasts to the
-	// survivors. Rewiring after Promote leaves a window where the new
-	// master ships only to the dead old master, resolves the wave
-	// "degraded", and releases replies no surviving replica has — a
-	// second crash in that window loses acknowledged writes.
-	if err := r.adoptGroupPeers(); err != nil {
-		r.event(fmt.Sprintf("group peer reconfiguration failed: %v", err))
-		return
-	}
-	if err := r.Promote(ctx); err != nil {
-		r.event(fmt.Sprintf("promotion failed: %v", err))
-		return
-	}
-	// The new master stops watching the dead member.
-	if err := r.adoptGroupMastership(); err != nil {
-		r.event(fmt.Sprintf("group mastership reconfiguration failed: %v", err))
-	}
-}
-
-// findLiveMaster role-queries every other member and returns the first
-// one answering as master.
-func (r *Replica) findLiveMaster(ctx context.Context) transport.Address {
-	self := r.h.Addr()
-	for _, m := range r.members() {
-		if m == self {
-			continue
-		}
-		env := replicaEnvelope{Kind: MsgRoleQuery, From: string(self), System: r.System(), Group: r.Group()}
-		data, err := transport.Encode(env)
-		if err != nil {
-			return ""
-		}
-		callCtx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
-		reply, err := r.h.Endpoint().Call(callCtx, m, KindReplica, data)
-		cancel()
-		if err != nil {
-			continue
-		}
-		var info roleInfo
-		if err := transport.Decode(reply, &info); err != nil {
-			continue
-		}
-		if core.Role(info.Role) == core.RoleMaster {
-			return m
-		}
-	}
-	return ""
-}
-
-// repointTo aims this backup's peer bridge and failure detector at the
-// new master.
-func (r *Replica) repointTo(master transport.Address) error {
-	rt := r.h.Runtime()
-	if rt == nil {
-		return host.ErrCrashed
-	}
-	if err := rt.SetProperty(r.path+"/"+NamePeer, "peers", []string{string(master)}); err != nil {
-		return err
-	}
-	return rt.SetProperty(r.path+"/"+NameDetector, "peer", string(master))
-}
-
 // SetClockSkew shifts this replica's failure-detection clock by d — the
 // chaos engine's clock-skew fault. Positive skew makes the peer's
 // silence look longer than it is, which is how an unsynchronized clock
@@ -525,49 +406,6 @@ func (r *Replica) SetClockSkew(d time.Duration) error {
 		return host.ErrCrashed
 	}
 	return rt.SetProperty(r.path+"/"+NameDetector, "clock-skew", d)
-}
-
-// otherMembers lists every member but this replica, in rank order.
-func (r *Replica) otherMembers() []string {
-	self := r.h.Addr()
-	var others []string
-	for _, m := range r.members() {
-		if m != self {
-			others = append(others, string(m))
-		}
-	}
-	return others
-}
-
-// adoptGroupPeers aims the peer bridge at every other member. Called on
-// a still-slave replica about to promote (see considerPromotion for why
-// the ordering matters); the dead master stays in the broadcast set so
-// it resynchronizes if it restarts — the broadcast is best-effort.
-func (r *Replica) adoptGroupPeers() error {
-	rt := r.h.Runtime()
-	if rt == nil {
-		return host.ErrCrashed
-	}
-	return rt.SetProperty(r.path+"/"+NamePeer, "peers", r.otherMembers())
-}
-
-// adoptGroupMastership reconfigures a freshly promoted group master:
-// broadcast to every other member, watch the highest-ranked other
-// member.
-func (r *Replica) adoptGroupMastership() error {
-	rt := r.h.Runtime()
-	if rt == nil {
-		return host.ErrCrashed
-	}
-	others := r.otherMembers()
-	if err := rt.SetProperty(r.path+"/"+NamePeer, "peers", others); err != nil {
-		return err
-	}
-	watch := ""
-	if len(others) > 0 {
-		watch = others[len(others)-1] // the deepest backup is likeliest alive
-	}
-	return rt.SetProperty(r.path+"/"+NameDetector, "peer", watch)
 }
 
 // resolveSplitBrain queries the peer's role; when both replicas are

@@ -74,7 +74,7 @@ func NewShardedSystem(ctx context.Context, cfg ShardedConfig) (*ShardedSystem, e
 			FTM:    cfg.FTM,
 			// Distinct host names per group: each group gets its own pair
 			// of hosts, so a crash in one group touches no other.
-			HostNames:         []string{fmt.Sprintf("%s-%s-a", cfg.System, gid), fmt.Sprintf("%s-%s-b", cfg.System, gid)},
+			HostNames:         [2]string{fmt.Sprintf("%s-%s-a", cfg.System, gid), fmt.Sprintf("%s-%s-b", cfg.System, gid)},
 			AppFactory:        cfg.AppFactory,
 			Net:               cfg.Net,
 			HeartbeatInterval: cfg.HeartbeatInterval,

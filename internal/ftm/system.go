@@ -15,7 +15,7 @@ import (
 )
 
 // SystemConfig assembles a complete fault-tolerant replica group — a
-// master and one or more slaves — on a simulated network.
+// duplex pair, one master and one slave — on a simulated network.
 type SystemConfig struct {
 	// System names the protected application.
 	System string
@@ -24,20 +24,14 @@ type SystemConfig struct {
 	Group string
 	// FTM is the initial mechanism.
 	FTM core.ID
-	// Replicas is the group size: 0 means 2, fewer than 2 is rejected.
-	// Beyond two, the master broadcasts to every slave and the slaves
-	// take over with rank-staggered delays — the paper's "multiple
-	// Backups or Followers" variant.
-	Replicas int
 	// AppFactory builds one application instance per replica.
 	AppFactory func() Application
 	// Net is the network to attach to (a fresh seeded one when nil).
 	Net *transport.MemNetwork
-	// HostNames name the hosts in rank order, one per replica (default
-	// "alpha", "beta" for a pair, "node0", "node1", ... beyond).
-	HostNames []string
-	// HeartbeatInterval and SuspectTimeout tune failover speed; beyond
-	// two replicas the suspect timeout is also the rank stagger unit.
+	// HostNames name the initial master's and slave's hosts (default
+	// "alpha", "beta").
+	HostNames [2]string
+	// HeartbeatInterval and SuspectTimeout tune failover speed.
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
 	// EventHook receives replica life-cycle events.
@@ -57,23 +51,17 @@ type System struct {
 
 	mu       sync.Mutex
 	cfg      SystemConfig
-	hosts    []*host.Host // rank order; fixed after NewSystem
+	hosts    []*host.Host // initial master first; fixed after NewSystem
 	replicas []*Replica
 	clients  int
 }
 
-// NewSystem boots one host per replica and deploys cfg.FTM with the
-// master on the first host. When it fails, the hosts it created are
+// NewSystem boots the pair's two hosts and deploys cfg.FTM with the
+// master on the first. When it fails, the hosts it created are
 // crashed again, so the network is left as it was found.
 func NewSystem(ctx context.Context, cfg SystemConfig) (_ *System, err error) {
 	if cfg.System == "" {
 		cfg.System = "app"
-	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Replicas < 2 {
-		return nil, fmt.Errorf("ftm: a system needs at least 2 replicas, got %d", cfg.Replicas)
 	}
 	if _, err := core.Lookup(cfg.FTM); err != nil {
 		return nil, err
@@ -81,15 +69,8 @@ func NewSystem(ctx context.Context, cfg SystemConfig) (_ *System, err error) {
 	if cfg.AppFactory == nil {
 		cfg.AppFactory = func() Application { return NewCalculator() }
 	}
-	switch {
-	case len(cfg.HostNames) == 0 && cfg.Replicas == 2:
-		cfg.HostNames = []string{"alpha", "beta"}
-	case len(cfg.HostNames) == 0:
-		for i := 0; i < cfg.Replicas; i++ {
-			cfg.HostNames = append(cfg.HostNames, fmt.Sprintf("node%d", i))
-		}
-	case len(cfg.HostNames) != cfg.Replicas:
-		return nil, fmt.Errorf("ftm: %d host names for %d replicas", len(cfg.HostNames), cfg.Replicas)
+	if cfg.HostNames == [2]string{} {
+		cfg.HostNames = [2]string{"alpha", "beta"}
 	}
 	if cfg.Net == nil {
 		cfg.Net = transport.NewMemNetwork(transport.WithSeed(1))
@@ -127,9 +108,8 @@ func NewSystem(ctx context.Context, cfg SystemConfig) (_ *System, err error) {
 	return s, nil
 }
 
-// deployReplica deploys ftmID on host idx. A pair is wired peer to peer,
-// with no member list; a larger group gets the full membership, and its
-// slaves point at the rank-0 host as their master.
+// deployReplica deploys ftmID on host idx, wired to the other host as
+// its peer when the mechanism spans two hosts.
 func (s *System) deployReplica(ctx context.Context, idx int, ftmID core.ID, role core.Role) (*Replica, error) {
 	desc, err := core.Lookup(ftmID)
 	if err != nil {
@@ -145,15 +125,7 @@ func (s *System) deployReplica(ctx context.Context, idx int, ftmID core.ID, role
 		HeartbeatInterval: s.cfg.HeartbeatInterval,
 		SuspectTimeout:    s.cfg.SuspectTimeout,
 	}
-	switch {
-	case len(s.hosts) > 2:
-		for _, m := range s.hosts {
-			cfg.Members = append(cfg.Members, m.Addr())
-		}
-		if role != core.RoleMaster {
-			cfg.Peer = cfg.Members[0]
-		}
-	case desc.Hosts >= 2:
+	if desc.Hosts >= 2 {
 		cfg.Peer = s.hosts[1-idx].Addr()
 	}
 	var opts []ReplicaOption
@@ -165,15 +137,15 @@ func (s *System) deployReplica(ctx context.Context, idx int, ftmID core.ID, role
 	return NewReplica(ctx, h, cfg, opts...)
 }
 
-// Hosts returns the hosts in rank order.
+// Hosts returns the hosts, initial master first.
 func (s *System) Hosts() []*host.Host {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*host.Host(nil), s.hosts...)
 }
 
-// Replicas returns the replicas in rank order (some may be dead after
-// crashes).
+// Replicas returns the replicas, initial master first (some may be dead
+// after crashes).
 func (s *System) Replicas() []*Replica {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,21 +162,12 @@ func (s *System) Master() *Replica {
 	return nil
 }
 
-// Slaves returns the live slave replicas in rank order.
-func (s *System) Slaves() []*Replica {
-	var out []*Replica
+// Slave returns the live slave replica, or nil.
+func (s *System) Slave() *Replica {
 	for _, r := range s.Replicas() {
 		if r != nil && !r.Host().Crashed() && r.Role() == core.RoleSlave {
-			out = append(out, r)
+			return r
 		}
-	}
-	return out
-}
-
-// Slave returns the first live slave replica, or nil.
-func (s *System) Slave() *Replica {
-	if sl := s.Slaves(); len(sl) > 0 {
-		return sl[0]
 	}
 	return nil
 }
@@ -280,11 +243,12 @@ func (s *System) crashReplica(r *Replica) int {
 // RestartReplica restarts a crashed host and redeploys its replica as a
 // slave of the surviving master, in the FTM committed to stable storage,
 // then pulls a checkpoint when the configuration supports it — the
-// recovery-of-adaptation path (§5.3). Rejoining a group of more than two
-// is not supported.
+// recovery-of-adaptation path (§5.3). idx is 0 or 1; anything else
+// (notably the -1 CrashMaster and CrashSlave return when there was no
+// such replica) is an error.
 func (s *System) RestartReplica(ctx context.Context, idx int) (*Replica, error) {
-	if n := len(s.hosts); n > 2 {
-		return nil, fmt.Errorf("ftm: restarting a replica of a %d-replica group is not supported", n)
+	if idx != 0 && idx != 1 {
+		return nil, fmt.Errorf("ftm: no replica %d in a pair", idx)
 	}
 	s.mu.Lock()
 	h := s.hosts[idx]

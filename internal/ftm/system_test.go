@@ -130,6 +130,95 @@ func TestLFRBothReplicasCompute(t *testing.T) {
 	}, "follower never computed the forwarded requests")
 }
 
+// backups returns every live replica of the group other than the master,
+// failing the test if there is none.
+func backups(t *testing.T, s *System) []*Replica {
+	t.Helper()
+	master := s.Master()
+	var out []*Replica
+	for _, r := range s.Replicas() {
+		if r != master && r.Role() == core.RoleSlave {
+			out = append(out, r)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("group has no backup")
+	}
+	return out
+}
+
+func TestPBRClusterCheckpointsReachAllBackups(t *testing.T) {
+	s := newTestSystem(t, core.PBR)
+	c, err := s.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	invoke(t, c, "set:x", 42)
+	invoke(t, c, "add:x", 8)
+	// Every backup of the group converges on the primary's checkpoints.
+	for _, backup := range backups(t, s) {
+		app := backup.App().(*Calculator)
+		waitUntil(t, 2*time.Second, func() bool {
+			return app.regs.Get("x") == 50
+		}, "backup never received the checkpoint")
+	}
+}
+
+func TestLFRClusterAllFollowersCompute(t *testing.T) {
+	s := newTestSystem(t, core.LFR)
+	c, err := s.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	invoke(t, c, "set:x", 9)
+	invoke(t, c, "add:x", 1)
+	for _, follower := range backups(t, s) {
+		app := follower.App().(*Calculator)
+		waitUntil(t, 2*time.Second, func() bool {
+			return app.regs.Get("x") == 10
+		}, "follower did not compute the forwarded requests")
+	}
+}
+
+func TestClusterAdaptationAcrossAllReplicas(t *testing.T) {
+	// A differential transition, run replica by replica straight on each
+	// runtime, applies to every member of the group.
+	s := newTestSystem(t, core.PBR)
+	c, err := s.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	invoke(t, c, "set:x", 5)
+	for _, r := range s.Replicas() {
+		from := core.MustLookup(core.PBR)
+		to := core.MustLookup(core.LFR)
+		script, env, err := TransitionScript(r.Path(), from.Scheme(r.Role()), to.Scheme(r.Role()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := r.Host().Runtime()
+		if err := rt.Stop(context.Background(), r.Path()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fscriptExecute(rt, script, env); err != nil {
+			t.Fatalf("transition on %s: %v", r.Host().Name(), err)
+		}
+		if err := rt.Start(context.Background(), r.Path()); err != nil {
+			t.Fatal(err)
+		}
+		r.SetFTM(core.LFR)
+	}
+	if got := invoke(t, c, "add:x", 2); got != 7 {
+		t.Fatalf("post-transition add = %d", got)
+	}
+	for _, follower := range backups(t, s) {
+		app := follower.App().(*Calculator)
+		waitUntil(t, 2*time.Second, func() bool {
+			return app.regs.Get("x") == 7
+		}, "follower did not compute after the group transition")
+	}
+}
+
 func TestAtMostOnceAcrossReplicas(t *testing.T) {
 	s := newTestSystem(t, core.LFR)
 	c, err := s.NewClient()
@@ -356,7 +445,7 @@ func TestNewSystemFailureLeavesNetworkClean(t *testing.T) {
 	}{
 		{"unknown FTM", func(c *SystemConfig) { c.FTM = "nope" }},
 		{"bad system name", func(c *SystemConfig) { c.System = "a.b" }},
-		{"duplicate host name", func(c *SystemConfig) { c.HostNames = []string{"alpha", "alpha"} }},
+		{"duplicate host name", func(c *SystemConfig) { c.HostNames = [2]string{"alpha", "alpha"} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -387,5 +476,33 @@ func TestRestartReplicaUnknownStoredFTM(t *testing.T) {
 	}
 	if _, err := s.RestartReplica(context.Background(), 0); err == nil {
 		t.Fatal("RestartReplica deployed an unknown FTM")
+	}
+}
+
+// CrashMaster and CrashSlave return -1 when there is no such replica, so
+// RestartReplica(ctx, s.CrashMaster()) on a masterless pair must report
+// an error instead of indexing out of range. The hosts are crashed
+// directly and the test stops at the first panic: a panic inside
+// RestartReplica would leave the system's lock held, and any later call
+// would wait on it forever.
+func TestRestartReplicaRejectsBadIndex(t *testing.T) {
+	s, err := NewSystem(context.Background(), fastConfig(core.PBR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range s.Hosts() {
+		t.Cleanup(h.Crash)
+	}
+	for _, idx := range []int{-1, 2} {
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Fatalf("RestartReplica(%d) panicked: %v", idx, rec)
+				}
+			}()
+			if _, err := s.RestartReplica(context.Background(), idx); err == nil {
+				t.Errorf("RestartReplica(%d) succeeded", idx)
+			}
+		}()
 	}
 }

@@ -102,8 +102,8 @@ const (
 
 // System assembly and applications.
 type (
-	// System is a running replicated fault-tolerant application (one
-	// master, one or more slaves).
+	// System is a running replicated fault-tolerant application (a
+	// master and a slave).
 	System = ftm.System
 	// SystemConfig configures NewSystem.
 	SystemConfig = ftm.SystemConfig
@@ -157,8 +157,7 @@ type (
 )
 
 // NewSystem boots a fault-tolerant replica group on a simulated network:
-// a pair by default, or with SystemConfig.Replicas > 2 the paper's
-// "multiple Backups or Followers" variant.
+// a pair.
 func NewSystem(ctx context.Context, cfg SystemConfig) (*System, error) {
 	return ftm.NewSystem(ctx, cfg)
 }

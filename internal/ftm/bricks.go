@@ -227,6 +227,16 @@ const defaultMaxWave = 256
 // the backup. With no live peer the primary continues master-alone; the
 // backup resynchronizes when it rejoins.
 //
+// Master-alone waves do not build a full checkpoint for a peer that is
+// not there: once a wave resolved "degraded", each later wave first sends
+// one role query (MsgRoleQuery, served by either role) through the peer
+// bridge. An unreachable peer resolves the wave "degraded" at the cost of
+// that one failed exchange, with no capture and no encode; a peer that
+// answers gets the full checkpoint. Every degraded release follows a
+// failed attempt to reach the peer, so a peer that is merely suspected
+// but reachable keeps receiving the state, and a refusing peer (split
+// brain) fails the wave.
+//
 // After a first acknowledged full checkpoint the brick switches to delta
 // checkpoints: the state write-set since the acknowledged version plus
 // the reply-log tail since the acknowledged mark — O(write-set) per
@@ -259,8 +269,11 @@ type pbrCheckpointAfter struct {
 	// (the token handoff through the notifier's channel is the
 	// happens-before edge between successive shippers).
 	// synced is true once the backup acknowledged a checkpoint; the
-	// fields below are only meaningful then.
-	synced      bool
+	// ack fields below are only meaningful then.
+	synced bool
+	// alone is true once a wave found no peer and until a full
+	// checkpoint lands again; it implies !synced.
+	alone       bool
 	ackVersion  uint64
 	ackMark     uint64
 	deltasSince int
@@ -352,9 +365,11 @@ func (a *pbrCheckpointAfter) shipWave(ctx context.Context, batch []*commitWave, 
 	return outcome, err
 }
 
-// shipCheckpoint ships one delta or full checkpoint; sp (nil when the
-// leader is unsampled) is annotated with the chosen mode and parents
-// the peer send.
+// shipCheckpoint ships one delta or full checkpoint, or, while the
+// primary is alone, first probes the peer and resolves the wave
+// "degraded" without building anything when the probe finds no peer.
+// sp (nil when the leader is unsampled) is annotated with the chosen
+// mode (delta, full or probe) and parents the peer sends.
 func (a *pbrCheckpointAfter) shipCheckpoint(ctx context.Context, sp *telemetry.ActiveSpan, maxSeq uint64) (string, error) {
 	state := stateClient{svc: a.ref("state")}
 	log := logClient{svc: a.ref("log")}
@@ -368,6 +383,7 @@ func (a *pbrCheckpointAfter) shipCheckpoint(ctx context.Context, sp *telemetry.A
 				// The backup's state is unknown once it rejoins, so the
 				// next checkpoint must be full.
 				a.synced = false
+				a.alone = true
 				mDegraded.Inc()
 				return "degraded", nil
 			}
@@ -381,6 +397,19 @@ func (a *pbrCheckpointAfter) shipCheckpoint(ctx context.Context, sp *telemetry.A
 		// resync): fall through to a full checkpoint.
 	}
 
+	if a.alone {
+		// Any answer other than "no peer" (a refusal included) lets the
+		// full ship below decide the wave.
+		_, err := peer.callTraced(ctx, MsgRoleQuery, nil, sp.Context())
+		if errors.Is(err, ErrNoPeer) {
+			mProbeUnreachable.Inc()
+			sp.SetAttr("mode", "probe")
+			mDegraded.Inc()
+			return "degraded", nil
+		}
+		mProbeReachable.Inc()
+	}
+
 	data, version, mark, err := buildCheckpoint(ctx, state, log, maxSeq)
 	if err != nil {
 		mWavePBRFailed.Inc()
@@ -392,6 +421,7 @@ func (a *pbrCheckpointAfter) shipCheckpoint(ctx context.Context, sp *telemetry.A
 	if err := shipErr; err != nil {
 		a.synced = false
 		if errors.Is(err, ErrNoPeer) {
+			a.alone = true
 			mDegraded.Inc()
 			return "degraded", nil
 		}
@@ -401,6 +431,7 @@ func (a *pbrCheckpointAfter) shipCheckpoint(ctx context.Context, sp *telemetry.A
 	mCkptFull.Inc()
 	mCkptFullBytes.Add(uint64(len(data)))
 	a.synced = true
+	a.alone = false
 	a.ackVersion = version
 	a.ackMark = mark
 	a.deltasSince = 0

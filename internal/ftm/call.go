@@ -87,7 +87,6 @@ const (
 	// Control operations.
 	OpPeerChange = "peer-change" // payload bool: suspected
 	OpRole       = "role"
-	OpMasterOnly = "master-alone"
 )
 
 // Meta keys.

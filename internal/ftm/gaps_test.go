@@ -140,9 +140,6 @@ func TestProtocolPropertyValidation(t *testing.T) {
 	if err := p.SetProperty("assertLimit", "three"); err == nil {
 		t.Error("bogus assertLimit accepted")
 	}
-	if err := p.SetProperty("masterAlone", 1); err == nil {
-		t.Error("bogus masterAlone accepted")
-	}
 	if err := p.SetProperty("assertLimit", 5); err != nil {
 		t.Errorf("valid assertLimit rejected: %v", err)
 	}

@@ -46,6 +46,11 @@ var (
 	mResyncPrimary = telemetry.Default().Counter("ftm_resync_total", "side", "primary")
 	mResyncBackup  = telemetry.Default().Counter("ftm_resync_total", "side", "backup")
 	mDegraded      = telemetry.Default().Counter("ftm_degraded_total")
+	// A master-alone PBR primary probes its peer before each full
+	// checkpoint; an unreachable outcome is a degraded wave that built
+	// nothing.
+	mProbeUnreachable = telemetry.Default().Counter("ftm_checkpoint_probe_total", "outcome", "unreachable")
+	mProbeReachable   = telemetry.Default().Counter("ftm_checkpoint_probe_total", "outcome", "reachable")
 
 	mPromotions    = telemetry.Default().Counter("ftm_promotions_total")
 	mDemotions     = telemetry.Default().Counter("ftm_demotions_total")

@@ -40,7 +40,6 @@ type protocolContent struct {
 	mu             sync.Mutex
 	role           core.Role
 	masterSince    time.Time
-	masterAlone    bool
 	system         string
 	control        Control
 	assertFailures int
@@ -106,12 +105,6 @@ func (p *protocolContent) SetProperty(name string, value any) error {
 			return fmt.Errorf("ftm: assertLimit property is %T", value)
 		}
 		p.assertLimit = limit
-	case "masterAlone":
-		alone, ok := value.(bool)
-		if !ok {
-			return fmt.Errorf("ftm: masterAlone property is %T", value)
-		}
-		p.masterAlone = alone
 	}
 	return nil
 }
@@ -667,9 +660,6 @@ func (p *protocolContent) handleControl(ctx context.Context, msg component.Messa
 		suspected, _ := msg.Payload.(bool)
 		p.mu.Lock()
 		ctrl := p.control
-		if p.role == core.RoleMaster {
-			p.masterAlone = suspected
-		}
 		p.mu.Unlock()
 		if ctrl != nil {
 			ctrl.OnPeerChange(suspected)
@@ -677,11 +667,6 @@ func (p *protocolContent) handleControl(ctx context.Context, msg component.Messa
 		return component.NewMessage("ok", nil), nil
 	case OpRole:
 		return component.NewMessage("ok", string(p.Role())), nil
-	case OpMasterOnly:
-		p.mu.Lock()
-		alone := p.masterAlone
-		p.mu.Unlock()
-		return component.NewMessage("ok", alone), nil
 	default:
 		return component.Message{}, fmt.Errorf("%w: %q on protocol.control", component.ErrUnknownOp, msg.Op)
 	}

@@ -144,7 +144,9 @@ func run() error {
 	}
 	// One group is the classic unsharded daemon (empty group ID, bare
 	// system name); N groups share this endpoint behind the group mux,
-	// each its own replica with its own detector, batcher and reply log.
+	// each its own replica with its own batcher and reply log. They share
+	// the host's one failure detector for the peer, which hands a
+	// suspicion to the groups one at a time, so they promote in turn.
 	srv := mgmt.NewServer(ep)
 	engine := adaptation.NewEngine(nil)
 	replicas := make([]*ftm.Replica, 0, *shards)

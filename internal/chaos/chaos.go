@@ -44,7 +44,7 @@ const (
 	// FaultGrayLink degrades a direction without cutting it: extra
 	// latency, jitter, probabilistic loss.
 	FaultGrayLink Fault = "gray-link"
-	// FaultClockSkew shifts one replica's failure-detection clock,
+	// FaultClockSkew shifts one host's failure-detection clock,
 	// manufacturing false suspicion from healthy silence.
 	FaultClockSkew Fault = "clock-skew"
 	// FaultStoreSlow imposes latency on a host's stable store.

@@ -246,17 +246,6 @@ func (r *runner) addr(idx int) transport.Address {
 	return r.sys.Hosts()[idx].Addr()
 }
 
-// replicaAt returns the live replica currently deployed on host idx, or
-// nil when that host is down.
-func (r *runner) replicaAt(idx int) *ftm.Replica {
-	for _, rep := range r.sys.Replicas() {
-		if rep != nil && !rep.Host().Crashed() && rep.Host() == r.sys.Hosts()[idx] {
-			return rep
-		}
-	}
-	return nil
-}
-
 func (r *runner) execute(ctx context.Context, st Step) {
 	stepMetric(st.Verb).Inc()
 	if st.Fault != "" {
@@ -308,9 +297,7 @@ func (r *runner) execute(ctx context.Context, st Step) {
 			return
 		}
 		r.record("skew %s %v", name, st.Dur)
-		if rep := r.replicaAt(idx); rep != nil {
-			_ = rep.SetClockSkew(st.Dur)
-		}
+		r.sys.Hosts()[idx].SetClockSkew(st.Dur)
 	case "store-slow":
 		name, _, err := r.resolveHost(st.A)
 		if err != nil {
@@ -521,10 +508,8 @@ func (r *runner) settle(ctx context.Context) {
 		fs.SetDelay(0)
 		fs.SetFull(false)
 	}
-	for _, rep := range r.sys.Replicas() {
-		if rep != nil && !rep.Host().Crashed() {
-			_ = rep.SetClockSkew(0)
-		}
+	for _, h := range r.sys.Hosts() {
+		h.SetClockSkew(0)
 	}
 	for idx := range r.crashed {
 		r.restartHost(ctx, idx)

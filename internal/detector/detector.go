@@ -1,9 +1,9 @@
 // Package detector implements the failure-detection substrate used by
-// all duplex FTMs: a heartbeat emitter on each replica and a phi-accrual
-// watchdog that grades each peer's silence into a continuous suspicion
-// level (the paper's "dedicated entity (e.g., heartbeat, watchdog)" that
-// triggers recovery, upgraded from a binary timeout to a measured
-// inter-arrival model — see phi.go).
+// all duplex FTMs: a heartbeat emitter and a phi-accrual watchdog that
+// grades one peer's silence into a continuous suspicion level (the
+// paper's "dedicated entity (e.g., heartbeat, watchdog)" that triggers
+// recovery, upgraded from a binary timeout to a measured inter-arrival
+// model — see phi.go). A host runs one pair of them per peer process.
 package detector
 
 import (
@@ -20,35 +20,30 @@ import (
 // KindHeartbeat is the transport message kind of heartbeats.
 const KindHeartbeat = "fd.heartbeat"
 
-// Heartbeater periodically sends heartbeats to a set of peers. Sends
-// fan out concurrently with a per-send timeout, so one slow
-// (gray-failed) peer cannot stall the others' beats and make healthy
-// peers look silent.
+// Heartbeater periodically sends heartbeats to one peer. Each send
+// carries a one-interval timeout, so a peer that accepts bytes slowly
+// (gray failure) costs at most the beats that fall due while the send is
+// stalled, and the loop resumes on the next tick once the link clears.
 type Heartbeater struct {
-	ep          transport.Endpoint
-	interval    time.Duration
-	sendTimeout time.Duration
-	peers       []transport.Address // fixed at construction
+	ep       transport.Endpoint
+	peer     transport.Address
+	interval time.Duration
 
 	stop chan struct{}
 	done chan struct{}
 	once sync.Once
 }
 
-// NewHeartbeater returns a heartbeater sending to peers every interval.
+// NewHeartbeater returns a heartbeater sending to peer every interval.
 // Call Start to begin and Stop to halt (simulating the silence of a
 // crashed replica).
-func NewHeartbeater(ep transport.Endpoint, interval time.Duration, peers ...transport.Address) *Heartbeater {
+func NewHeartbeater(ep transport.Endpoint, interval time.Duration, peer transport.Address) *Heartbeater {
 	return &Heartbeater{
 		ep:       ep,
+		peer:     peer,
 		interval: interval,
-		// One full interval is the natural deadline: a send still in
-		// flight when the next beat is due is doing the watchdog's peer no
-		// good anyway.
-		sendTimeout: interval,
-		peers:       append([]transport.Address(nil), peers...),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -69,33 +64,22 @@ func (h *Heartbeater) Start() {
 	}()
 }
 
-// beat fans one heartbeat out to every peer concurrently. Each send
-// carries its own timeout and runs in its own goroutine: a peer that
-// accepts bytes slowly (gray failure) delays only its own beat, and
-// beat itself never waits — the next tick's sends overlap a stalled
-// one rather than queueing behind it.
+// beat sends one heartbeat. One full interval is the natural deadline: a
+// send still in flight when the next beat is due is doing the peer's
+// watchdog no good anyway.
 func (h *Heartbeater) beat() {
-	timeout := h.sendTimeout
-	if timeout <= 0 {
-		timeout = h.interval
+	ctx, cancel := context.WithTimeout(context.Background(), h.interval)
+	defer cancel()
+	// Heartbeats are fire-and-forget; a dead peer's error is the
+	// watchdog's business, not ours. A timed-out send is worth counting,
+	// though: it is the emitting side's first sign of a gray peer.
+	if err := h.ep.Send(ctx, h.peer, KindHeartbeat, []byte(h.ep.Addr())); err != nil {
+		if ctx.Err() != nil {
+			mHeartbeatsStalled.Inc()
+		}
+		return
 	}
-	for _, p := range h.peers {
-		go func(p transport.Address) {
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			// Heartbeats are fire-and-forget; a dead peer's error is the
-			// watchdog's business, not ours. A timed-out send is worth
-			// counting, though: it is the emitting side's first sign of a
-			// gray peer.
-			if err := h.ep.Send(ctx, p, KindHeartbeat, []byte(h.ep.Addr())); err != nil {
-				if ctx.Err() != nil {
-					mHeartbeatsStalled.Inc()
-				}
-				return
-			}
-			mHeartbeatsSent.Inc()
-		}(p)
-	}
+	mHeartbeatsSent.Inc()
 }
 
 // Stop halts the heartbeat loop. Safe to call more than once.
@@ -239,49 +223,70 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// peerState is one watched peer's model and graded verdict.
-type peerState struct {
+// Watchdog grades one peer's heartbeat silence on the φ scale and
+// reports its state transitions with hysteresis. Whoever receives the
+// peer's heartbeats feeds them to Observe.
+type Watchdog struct {
+	cfg      Config
+	peer     transport.Address
+	onChange func(Transition)
+	now      func() time.Time
+	// skewNs is an injected clock offset in nanoseconds. The grading
+	// loop and φ reads run against now()+skew, so a chaos campaign can
+	// drift one host's failure-detection clock the way an
+	// unsynchronized or stepped system clock would. Atomic: the readers
+	// do not hold mu.
+	skewNs atomic.Int64
+
+	phiGauge     *telemetry.Gauge
+	interarrival *telemetry.Histogram
+
+	mu    sync.Mutex
 	est   *PhiEstimator
 	state State
-	// anchored is when Monitor started the grace period (the estimator
-	// is empty until the first heartbeat lands).
+	// anchored is when the grace period started (construction or the
+	// last Reset); the estimator is empty until the first heartbeat lands.
 	anchored time.Time
 	// freshBeats counts consecutive qualifying arrivals while
 	// suspected/evicted, toward RecoveryBeats.
 	freshBeats int
 	// silentSince snapshots est.LastSeen() when suspicion fired.
 	silentSince time.Time
+
+	stop chan struct{}
+	done chan struct{}
+	once sync.Once
 }
 
-// Watchdog monitors heartbeat arrivals and grades each watched peer's
-// silence on the φ scale, reporting state transitions with hysteresis.
-type Watchdog struct {
-	cfg Config
+// NewWatchdog returns a watchdog of peer with thresholds derived from
+// the classic silence timeout: the bootstrap check fires at timeout, and
+// the deviation floor scales with it so φ thresholds behave sensibly
+// across interval regimes. onChange fires once per state transition.
+func NewWatchdog(peer transport.Address, timeout time.Duration, onChange func(Transition)) *Watchdog {
+	return NewPhiWatchdog(peer, Config{BootstrapTimeout: timeout}, onChange)
+}
 
-	mu       sync.Mutex
-	peers    map[transport.Address]*peerState
-	onChange func(Transition)
-	now      func() time.Time
-	// skewNs is an injected clock offset in nanoseconds. The grading
-	// loop, φ reads and silence reads all run against now()+skew, so a
-	// chaos campaign can drift one replica's failure-detection clock the
-	// way an unsynchronized or stepped system clock would. Atomic: the
-	// readers do not hold mu.
-	skewNs atomic.Int64
-
-	stop   chan struct{}
-	done   chan struct{}
-	once   sync.Once
-	detach func()
+// NewPhiWatchdog returns a watchdog of peer with explicit phi-accrual
+// tuning. The grace period starts now.
+func NewPhiWatchdog(peer transport.Address, cfg Config, onChange func(Transition)) *Watchdog {
+	w := &Watchdog{
+		cfg:          cfg.withDefaults(),
+		peer:         peer,
+		onChange:     onChange,
+		now:          time.Now,
+		phiGauge:     peerPhiGauge(string(peer)),
+		interarrival: peerInterarrival(string(peer)),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
+	}
+	w.Reset()
+	return w
 }
 
 // SetSkew shifts the watchdog's notion of the current time by d —
 // positive skew makes every silence look longer, driving φ up; the
 // clock-skew fault of the chaos repertoire. Safe on a running watchdog.
 func (w *Watchdog) SetSkew(d time.Duration) { w.skewNs.Store(int64(d)) }
-
-// Skew returns the currently injected clock offset.
-func (w *Watchdog) Skew() time.Duration { return time.Duration(w.skewNs.Load()) }
 
 // clock is the time source every grading and reading path uses: the
 // configured now() plus the injected skew.
@@ -293,278 +298,96 @@ func (w *Watchdog) clock() time.Time {
 	return t
 }
 
-// beatHub fans one endpoint's heartbeat arrivals out to every watchdog
-// attached to it. With one watchdog per endpoint (the classic shape)
-// it is a single indirection; with several — N shard detectors in one
-// daemon — it is what keeps each watchdog fed, where registering each
-// watchdog's own handler would leave only the last one receiving beats
-// and the others suspecting live peers.
-type beatHub struct {
-	mu       sync.Mutex
-	watchers []*Watchdog
-	// dead marks a hub that emptied and left the registry; a racing
-	// attach must build a fresh hub instead of joining a corpse.
-	dead bool
+// Reset re-anchors the model: the window empties, the verdict returns to
+// alive and a fresh grace period starts. Out-of-band proof of life uses
+// it, so that a suspicion the heartbeats have not yet cleared cannot mask
+// the next real silence. The anchor is recorded on the real clock, like
+// arrivals: the skewed clock belongs to the grading side only (see
+// Observe).
+func (w *Watchdog) Reset() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.est = NewPhiEstimator(w.cfg.Window, w.cfg.MinStdDev)
+	w.state = StateAlive
+	w.anchored = w.now()
+	w.freshBeats = 0
+	w.silentSince = time.Time{}
+	w.phiGauge.Set(0)
 }
 
-// beatHubs maps live endpoints to their hub; an entry exists only
-// while at least one watchdog is attached, so stopped test systems do
-// not pin their endpoints (and the composites the endpoint handlers
-// close over).
-var beatHubs sync.Map // transport.Endpoint -> *beatHub
-
-// attachBeats subscribes w to ep's heartbeat stream and returns the
-// detach hook.
-func attachBeats(ep transport.Endpoint, w *Watchdog) func() {
-	for {
-		v, _ := beatHubs.LoadOrStore(ep, &beatHub{})
-		hub := v.(*beatHub)
-		if hub.add(ep, w) {
-			return func() { hub.remove(ep, w) }
-		}
-		beatHubs.CompareAndDelete(ep, hub)
-	}
-}
-
-// add subscribes w, installing the endpoint handler on first use.
-// Returns false if the hub is dead.
-func (h *beatHub) add(ep transport.Endpoint, w *Watchdog) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.dead {
-		return false
-	}
-	if len(h.watchers) == 0 {
-		ep.Handle(KindHeartbeat, func(ctx context.Context, p transport.Packet) ([]byte, error) {
-			h.dispatch(p.From)
-			return nil, nil
-		})
-	}
-	h.watchers = append(h.watchers, w)
-	return true
-}
-
-func (h *beatHub) remove(ep transport.Endpoint, w *Watchdog) {
-	h.mu.Lock()
-	for i, x := range h.watchers {
-		if x == w {
-			h.watchers = append(h.watchers[:i], h.watchers[i+1:]...)
-			break
-		}
-	}
-	dead := len(h.watchers) == 0
-	if dead {
-		// Uninstall before the death of the hub becomes observable: a
-		// racing attach builds its replacement hub only after seeing
-		// dead under this lock, so its Handle strictly follows this one.
-		ep.Handle(KindHeartbeat, nil)
-		h.dead = true
-	}
-	h.mu.Unlock()
-	if dead {
-		beatHubs.CompareAndDelete(ep, h)
-	}
-}
-
-// dispatch folds one arrival into every attached watchdog; each one
-// ignores peers it does not Monitor.
-func (h *beatHub) dispatch(from transport.Address) {
-	h.mu.Lock()
-	n := len(h.watchers)
-	var solo *Watchdog
-	var all []*Watchdog
-	if n == 1 {
-		solo = h.watchers[0]
-	} else if n > 1 {
-		all = append(all, h.watchers...)
-	}
-	h.mu.Unlock()
-	if solo != nil {
-		solo.observe(from)
-		return
-	}
-	for _, w := range all {
-		w.observe(from)
-	}
-}
-
-// NewWatchdog returns a watchdog attached to ep with thresholds derived
-// from the classic silence timeout: the bootstrap check fires at
-// timeout, and the deviation floor scales with it so φ thresholds
-// behave sensibly across interval regimes. onChange fires once per
-// state transition. Monitor must be called for each watched peer.
-func NewWatchdog(ep transport.Endpoint, timeout time.Duration, onChange func(Transition)) *Watchdog {
-	cfg := Config{BootstrapTimeout: timeout}
-	return NewPhiWatchdog(ep, cfg, onChange)
-}
-
-// NewPhiWatchdog returns a watchdog attached to ep with explicit
-// phi-accrual tuning.
-func NewPhiWatchdog(ep transport.Endpoint, cfg Config, onChange func(Transition)) *Watchdog {
-	w := &Watchdog{
-		cfg:      cfg.withDefaults(),
-		peers:    make(map[transport.Address]*peerState),
-		onChange: onChange,
-		now:      time.Now,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	w.detach = attachBeats(ep, w)
-	return w
-}
-
-// phiOf computes the pause-adjusted suspicion level: the acceptable
+// phiLocked computes the pause-adjusted suspicion level: the acceptable
 // pause is deducted from the silence first, so φ accrues only against
 // the part of the silence the arrival model cannot excuse.
-func (w *Watchdog) phiOf(ps *peerState, now time.Time) float64 {
-	return ps.est.Phi(now.Add(-w.cfg.AcceptablePause))
+func (w *Watchdog) phiLocked(now time.Time) float64 {
+	return w.est.Phi(now.Add(-w.cfg.AcceptablePause))
 }
 
-// Monitor begins watching a peer; the grace period starts now. The
-// anchor is recorded on the real clock, like arrivals: the skewed
-// clock belongs to the grading side only (see observe).
-func (w *Watchdog) Monitor(peer transport.Address) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.peers[peer] = &peerState{
-		est:      NewPhiEstimator(w.cfg.Window, w.cfg.MinStdDev),
-		anchored: w.now(),
-	}
-}
-
-// Forget stops watching a peer.
-func (w *Watchdog) Forget(peer transport.Address) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.peers, peer)
-	peerPhiGauge(string(peer)).Set(0)
-}
-
-// observe folds one heartbeat arrival into the peer's model and applies
-// the recovery leg of the hysteresis: a suspected peer returns to alive
-// only after RecoveryBeats consecutive arrivals, each observed with φ
-// already back below RecoveryPhi.
-func (w *Watchdog) observe(peer transport.Address) {
+// Observe folds one heartbeat arrival into the model and applies the
+// recovery leg of the hysteresis: a suspected peer returns to alive only
+// after RecoveryBeats consecutive arrivals, each observed with φ already
+// back below RecoveryPhi.
+func (w *Watchdog) Observe() {
 	// Arrivals are external events: record them on the real clock. Only
-	// the grading side (check, φ and silence reads) runs on the skewed
-	// clock — if both sides were skewed the offset would cancel after
-	// the first post-skew arrival and injected skew could never
-	// manufacture the sustained false suspicion it exists to model.
+	// the grading side (check and φ reads) runs on the skewed clock — if
+	// both sides were skewed the offset would cancel after the first
+	// post-skew arrival and injected skew could never manufacture the
+	// sustained false suspicion it exists to model.
 	arrival := w.now()
 	now := w.clock()
 	w.mu.Lock()
-	ps, watched := w.peers[peer]
-	if !watched {
-		w.mu.Unlock()
-		return
+	last := w.est.LastSeen()
+	if last.IsZero() {
+		last = w.anchored
 	}
-	gap := arrival.Sub(ps.est.LastSeen())
-	if ps.est.LastSeen().IsZero() {
-		gap = arrival.Sub(ps.anchored)
-	}
-	if dt := ps.est.Observe(arrival); dt > 0 {
-		peerInterarrival(string(peer)).Observe(dt)
+	gap := arrival.Sub(last)
+	if dt := w.est.Observe(arrival); dt > 0 {
+		w.interarrival.Observe(dt)
 	}
 	var tr *Transition
-	if ps.state != StateAlive {
-		if w.phiOf(ps, now) < w.cfg.RecoveryPhi {
-			ps.freshBeats++
+	if w.state != StateAlive {
+		if w.phiLocked(now) < w.cfg.RecoveryPhi {
+			w.freshBeats++
 		} else {
-			ps.freshBeats = 0
+			w.freshBeats = 0
 		}
-		if ps.freshBeats >= w.cfg.RecoveryBeats {
+		if w.freshBeats >= w.cfg.RecoveryBeats {
 			tr = &Transition{
-				Peer: peer, From: ps.state, To: StateAlive,
-				Phi: w.phiOf(ps, now), Silence: gap, SilentSince: ps.silentSince,
+				Peer: w.peer, From: w.state, To: StateAlive,
+				Phi: w.phiLocked(now), Silence: gap, SilentSince: w.silentSince,
 			}
-			ps.state = StateAlive
-			ps.freshBeats = 0
-			ps.silentSince = time.Time{}
+			w.state = StateAlive
+			w.freshBeats = 0
+			w.silentSince = time.Time{}
 		}
 	}
-	cb := w.onChange
 	w.mu.Unlock()
 	if tr != nil {
 		mRecoveries.Inc()
 		telemetry.Emit("detector", "recovered", tr.Silence,
-			"peer", string(peer), "phi", fmt.Sprintf("%.2f", tr.Phi))
-		if cb != nil {
-			cb(*tr)
+			"peer", string(w.peer), "phi", fmt.Sprintf("%.2f", tr.Phi))
+		if w.onChange != nil {
+			w.onChange(*tr)
 		}
 	}
 }
 
-// Suspected reports whether peer is currently suspected (or worse).
-func (w *Watchdog) Suspected(peer transport.Address) bool {
-	return w.PeerState(peer) >= StateSuspected
-}
+// Suspected reports whether the peer is currently suspected (or worse).
+func (w *Watchdog) Suspected() bool { return w.State() >= StateSuspected }
 
-// PeerState returns the peer's current graded state (StateAlive for
-// unwatched peers).
-func (w *Watchdog) PeerState(peer transport.Address) State {
+// State returns the peer's current graded state.
+func (w *Watchdog) State() State {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if ps, ok := w.peers[peer]; ok {
-		return ps.state
-	}
-	return StateAlive
+	return w.state
 }
 
-// Phi returns the peer's current suspicion level (zero for unwatched
-// peers or before any heartbeat).
-func (w *Watchdog) Phi(peer transport.Address) float64 {
-	w.mu.Lock()
-	ps, ok := w.peers[peer]
-	w.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return w.phiOf(ps, w.clock())
-}
-
-// SilentFor returns how long the peer has been silent (zero for
-// unwatched peers; measured from Monitor before the first heartbeat).
-func (w *Watchdog) SilentFor(peer transport.Address) time.Duration {
+// Phi returns the peer's current suspicion level (zero before any
+// heartbeat) — the scalar the host's heartbeat health collector reads.
+func (w *Watchdog) Phi() float64 {
 	now := w.clock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ps, ok := w.peers[peer]
-	if !ok {
-		return 0
-	}
-	last := ps.est.LastSeen()
-	if last.IsZero() {
-		last = ps.anchored
-	}
-	return now.Sub(last)
-}
-
-// InterarrivalQuantile returns the q-quantile of the peer's observed
-// heartbeat inter-arrival times (zero for unwatched peers or an empty
-// window) — heartbeat jitter as a health signal.
-func (w *Watchdog) InterarrivalQuantile(peer transport.Address, q float64) time.Duration {
-	w.mu.Lock()
-	ps, ok := w.peers[peer]
-	w.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return ps.est.Quantile(q)
-}
-
-// MaxPhi returns the highest current suspicion level across watched
-// peers (zero with none) — the scalar a host health collector reads.
-func (w *Watchdog) MaxPhi() float64 {
-	now := w.clock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var max float64
-	for _, ps := range w.peers {
-		if p := w.phiOf(ps, now); p > max {
-			max = p
-		}
-	}
-	return max
+	return w.phiLocked(now)
 }
 
 // Start launches the periodic grading check (at a quarter of the
@@ -589,90 +412,79 @@ func (w *Watchdog) Start() {
 	}()
 }
 
-// check grades every watched peer: φ against the suspect and evict
-// thresholds once the model has enough samples, the bootstrap silence
-// timeout before that. Transitions fire outside the lock.
+// check grades the peer: φ against the suspect and evict thresholds once
+// the model has enough samples, the bootstrap silence timeout before
+// that. A transition fires outside the lock.
 func (w *Watchdog) check() {
 	now := w.clock()
-	var fired []Transition
 	w.mu.Lock()
-	cb := w.onChange
-	for peer, ps := range w.peers {
-		phi := w.phiOf(ps, now)
-		peerPhiGauge(string(peer)).Set(int64(phi * 1000))
+	phi := w.phiLocked(now)
+	w.phiGauge.Set(int64(phi * 1000))
 
-		last := ps.est.LastSeen()
-		if last.IsZero() {
-			last = ps.anchored
+	last := w.est.LastSeen()
+	if last.IsZero() {
+		last = w.anchored
+	}
+	silence := now.Sub(last)
+
+	// Grade the silence: with a trusted model, on the φ scale; while
+	// bootstrapping, against the binary timeout (evict at 4× it, the
+	// same severity ratio the defaults give φ).
+	var to State
+	if w.est.Samples() >= w.cfg.MinSamples {
+		switch {
+		case phi >= w.cfg.EvictPhi && silence >= w.cfg.EvictSilence:
+			to = StateEvicted
+		case phi >= w.cfg.SuspectPhi:
+			to = StateSuspected
+		default:
+			to = StateAlive
 		}
-		silence := now.Sub(last)
-
-		// Grade the silence: with a trusted model, on the φ scale; while
-		// bootstrapping, against the binary timeout (evict at 4× it, the
-		// same severity ratio the defaults give φ).
-		var to State
-		if ps.est.Samples() >= w.cfg.MinSamples {
-			switch {
-			case phi >= w.cfg.EvictPhi && silence >= w.cfg.EvictSilence:
-				to = StateEvicted
-			case phi >= w.cfg.SuspectPhi:
-				to = StateSuspected
-			default:
-				to = StateAlive
-			}
-		} else {
-			switch {
-			case silence >= w.cfg.EvictSilence:
-				to = StateEvicted
-			case silence > w.cfg.BootstrapTimeout:
-				to = StateSuspected
-			default:
-				to = StateAlive
-			}
-		}
-
-		// Only escalations happen here: de-escalation (recovery) is
-		// driven by arrivals in observe, where the hysteresis lives.
-		if to > ps.state {
-			tr := Transition{
-				Peer: peer, From: ps.state, To: to,
-				Phi: phi, Silence: silence, SilentSince: last,
-			}
-			if ps.state == StateAlive {
-				ps.silentSince = last
-			}
-			ps.state = to
-			ps.freshBeats = 0
-			fired = append(fired, tr)
+	} else {
+		switch {
+		case silence >= w.cfg.EvictSilence:
+			to = StateEvicted
+		case silence > w.cfg.BootstrapTimeout:
+			to = StateSuspected
+		default:
+			to = StateAlive
 		}
 	}
+
+	// Only escalations happen here: de-escalation (recovery) is driven
+	// by arrivals in Observe, where the hysteresis lives.
+	if to <= w.state {
+		w.mu.Unlock()
+		return
+	}
+	tr := Transition{
+		Peer: w.peer, From: w.state, To: to,
+		Phi: phi, Silence: silence, SilentSince: last,
+	}
+	if w.state == StateAlive {
+		w.silentSince = last
+	}
+	w.state = to
+	w.freshBeats = 0
 	w.mu.Unlock()
 
-	for _, tr := range fired {
-		switch tr.To {
-		case StateSuspected:
-			mSuspicions.Inc()
-			telemetry.Emit("detector", "suspected", tr.Silence,
-				"peer", string(tr.Peer), "phi", fmt.Sprintf("%.2f", tr.Phi))
-		case StateEvicted:
-			mEvictions.Inc()
-			telemetry.Emit("detector", "evicted", tr.Silence,
-				"peer", string(tr.Peer), "phi", fmt.Sprintf("%.2f", tr.Phi))
-		}
-		if cb != nil {
-			cb(tr)
-		}
+	switch tr.To {
+	case StateSuspected:
+		mSuspicions.Inc()
+		telemetry.Emit("detector", "suspected", tr.Silence,
+			"peer", string(tr.Peer), "phi", fmt.Sprintf("%.2f", tr.Phi))
+	case StateEvicted:
+		mEvictions.Inc()
+		telemetry.Emit("detector", "evicted", tr.Silence,
+			"peer", string(tr.Peer), "phi", fmt.Sprintf("%.2f", tr.Phi))
+	}
+	if w.onChange != nil {
+		w.onChange(tr)
 	}
 }
 
-// Stop halts the watchdog and detaches it from its endpoint's
-// heartbeat stream. Safe to call more than once.
+// Stop halts the grading loop. Safe to call more than once.
 func (w *Watchdog) Stop() {
-	w.once.Do(func() {
-		close(w.stop)
-		if w.detach != nil {
-			w.detach()
-		}
-	})
+	w.once.Do(func() { close(w.stop) })
 	<-w.done
 }

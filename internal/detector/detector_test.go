@@ -1,10 +1,13 @@
 package detector
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"resilientft/internal/telemetry"
 	"resilientft/internal/transport"
 )
 
@@ -38,33 +41,54 @@ func (c *changeLog) list() []string {
 	return append([]string(nil), c.events...)
 }
 
+// watch starts a watchdog of peer fed by ep's heartbeat arrivals from
+// peer, the way a host wires its detectors.
+func watch(t *testing.T, ep transport.Endpoint, peer transport.Address, timeout time.Duration, onChange func(Transition)) *Watchdog {
+	t.Helper()
+	w := NewWatchdog(peer, timeout, onChange)
+	ep.Handle(KindHeartbeat, func(ctx context.Context, p transport.Packet) ([]byte, error) {
+		if p.From == peer {
+			w.Observe()
+		}
+		return nil, nil
+	})
+	w.Start()
+	t.Cleanup(w.Stop)
+	return w
+}
+
+// samples returns how many inter-arrival gaps the watchdog's window
+// holds: the arrival count a test waits on instead of sleeping.
+func samples(w *Watchdog) int {
+	w.mu.Lock()
+	est := w.est
+	w.mu.Unlock()
+	return est.Samples()
+}
+
 func TestWatchdogDetectsSilence(t *testing.T) {
 	n := transport.NewMemNetwork()
 	aEp, _ := n.Endpoint("a")
 	bEp, _ := n.Endpoint("b")
 
 	log := &changeLog{}
-	w := NewWatchdog(aEp, 50*time.Millisecond, log.record)
-	w.Monitor("b")
-	w.Start()
-	defer w.Stop()
-
+	w := watch(t, aEp, "b", 50*time.Millisecond, log.record)
 	hb := NewHeartbeater(bEp, 10*time.Millisecond, "a")
 	hb.Start()
 
 	// While heartbeating, no suspicion should form.
-	time.Sleep(120 * time.Millisecond)
-	if w.Suspected("b") {
+	waitFor(t, 2*time.Second, func() bool { return samples(w) >= 12 }, "heartbeats never arrived")
+	if w.Suspected() {
 		t.Fatal("peer suspected while heartbeating")
 	}
 
 	// Crash: heartbeats stop, suspicion must follow.
 	hb.Stop()
-	waitFor(t, 2*time.Second, func() bool { return w.Suspected("b") }, "silent peer never suspected")
-	events := log.list()
-	if len(events) == 0 || events[len(events)-1] != "b:suspected" {
-		t.Fatalf("events = %v, want trailing b:suspected", events)
-	}
+	waitFor(t, 2*time.Second, w.Suspected, "silent peer never suspected")
+	waitFor(t, 2*time.Second, func() bool {
+		events := log.list()
+		return len(events) > 0 && events[0] == "b:suspected"
+	}, "suspicion not reported as the first transition")
 }
 
 func TestWatchdogRecoversOnHeartbeatResume(t *testing.T) {
@@ -72,48 +96,33 @@ func TestWatchdogRecoversOnHeartbeatResume(t *testing.T) {
 	aEp, _ := n.Endpoint("a")
 	bEp, _ := n.Endpoint("b")
 
-	log := &changeLog{}
-	w := NewWatchdog(aEp, 40*time.Millisecond, log.record)
-	w.Monitor("b")
-	w.Start()
-	defer w.Stop()
-
-	waitFor(t, 2*time.Second, func() bool { return w.Suspected("b") }, "silent peer never suspected")
+	w := watch(t, aEp, "b", 40*time.Millisecond, nil)
+	waitFor(t, 2*time.Second, w.Suspected, "silent peer never suspected")
 
 	hb := NewHeartbeater(bEp, 10*time.Millisecond, "a")
 	hb.Start()
 	defer hb.Stop()
-	waitFor(t, 2*time.Second, func() bool { return !w.Suspected("b") }, "peer never un-suspected after resume")
+	waitFor(t, 2*time.Second, func() bool { return !w.Suspected() }, "peer never un-suspected after resume")
 }
 
-func TestWatchdogIgnoresUnmonitoredPeers(t *testing.T) {
-	n := transport.NewMemNetwork()
-	aEp, _ := n.Endpoint("a")
-	bEp, _ := n.Endpoint("b")
-	w := NewWatchdog(aEp, 30*time.Millisecond, nil)
+// TestWatchdogReset: Reset clears a standing suspicion and re-arms the
+// verdict, so the next silence is suspected afresh.
+func TestWatchdogReset(t *testing.T) {
+	var edges atomic.Int32 // alive -> suspected (or worse)
+	w := NewWatchdog("b", 20*time.Millisecond, func(tr Transition) {
+		if tr.From == StateAlive {
+			edges.Add(1)
+		}
+	})
 	w.Start()
 	defer w.Stop()
-	hb := NewHeartbeater(bEp, 10*time.Millisecond, "a")
-	hb.Start()
-	defer hb.Stop()
-	time.Sleep(60 * time.Millisecond)
-	if w.Suspected("b") {
-		t.Fatal("unmonitored peer reported suspected")
+	waitFor(t, 2*time.Second, w.Suspected, "peer never suspected")
+	w.Reset()
+	if w.Suspected() {
+		t.Fatal("reset peer still suspected")
 	}
-}
-
-func TestWatchdogForget(t *testing.T) {
-	n := transport.NewMemNetwork()
-	aEp, _ := n.Endpoint("a")
-	w := NewWatchdog(aEp, 20*time.Millisecond, nil)
-	w.Monitor("b")
-	w.Start()
-	defer w.Stop()
-	waitFor(t, 2*time.Second, func() bool { return w.Suspected("b") }, "peer never suspected")
-	w.Forget("b")
-	if w.Suspected("b") {
-		t.Fatal("forgotten peer still suspected")
-	}
+	waitFor(t, 2*time.Second, func() bool { return edges.Load() == 2 },
+		"silence after Reset was not suspected afresh")
 }
 
 func TestHeartbeaterStopIdempotent(t *testing.T) {
@@ -129,22 +138,19 @@ func TestPartitionCausesSuspicionBothWaysHeals(t *testing.T) {
 	n := transport.NewMemNetwork()
 	aEp, _ := n.Endpoint("a")
 	bEp, _ := n.Endpoint("b")
-	wa := NewWatchdog(aEp, 40*time.Millisecond, nil)
-	wa.Monitor("b")
-	wa.Start()
-	defer wa.Stop()
+	wa := watch(t, aEp, "b", 40*time.Millisecond, nil)
 	hb := NewHeartbeater(bEp, 10*time.Millisecond, "a")
 	hb.Start()
 	defer hb.Stop()
 
-	time.Sleep(60 * time.Millisecond)
-	if wa.Suspected("b") {
+	waitFor(t, 2*time.Second, func() bool { return samples(wa) >= 6 }, "heartbeats never arrived")
+	if wa.Suspected() {
 		t.Fatal("suspected while connected")
 	}
 	n.Partition("a", "b")
-	waitFor(t, 2*time.Second, func() bool { return wa.Suspected("b") }, "partitioned peer never suspected")
+	waitFor(t, 2*time.Second, wa.Suspected, "partitioned peer never suspected")
 	n.Heal("a", "b")
-	waitFor(t, 2*time.Second, func() bool { return !wa.Suspected("b") }, "healed peer never un-suspected")
+	waitFor(t, 2*time.Second, func() bool { return !wa.Suspected() }, "healed peer never un-suspected")
 }
 
 func TestClockSkewManufacturesFalseSuspicion(t *testing.T) {
@@ -152,18 +158,14 @@ func TestClockSkewManufacturesFalseSuspicion(t *testing.T) {
 	aEp, _ := n.Endpoint("a")
 	bEp, _ := n.Endpoint("b")
 
-	w := NewWatchdog(aEp, 50*time.Millisecond, nil)
-	w.Monitor("b")
-	w.Start()
-	defer w.Stop()
-
+	w := watch(t, aEp, "b", 50*time.Millisecond, nil)
 	hb := NewHeartbeater(bEp, 10*time.Millisecond, "a")
 	hb.Start()
 	defer hb.Stop()
 
 	// Healthy heartbeats: no suspicion.
-	time.Sleep(150 * time.Millisecond)
-	if w.Suspected("b") {
+	waitFor(t, 2*time.Second, func() bool { return samples(w) >= 15 }, "heartbeats never arrived")
+	if w.Suspected() {
 		t.Fatal("peer suspected while heartbeating")
 	}
 
@@ -172,12 +174,50 @@ func TestClockSkewManufacturesFalseSuspicion(t *testing.T) {
 	// peer is perfectly healthy — the false-suspicion fault chaos
 	// campaigns drive promotions with.
 	w.SetSkew(10 * time.Second)
-	if got := w.Skew(); got != 10*time.Second {
-		t.Fatalf("Skew() = %v", got)
-	}
-	waitFor(t, 2*time.Second, func() bool { return w.Suspected("b") }, "skewed watchdog never suspected a healthy peer")
+	waitFor(t, 2*time.Second, w.Suspected, "skewed watchdog never suspected a healthy peer")
 
 	// Clearing the skew lets the hysteresis recover the verdict.
 	w.SetSkew(0)
-	waitFor(t, 2*time.Second, func() bool { return !w.Suspected("b") }, "peer never recovered after skew cleared")
+	waitFor(t, 2*time.Second, func() bool { return !w.Suspected() }, "peer never recovered after skew cleared")
+}
+
+// stallableLink wraps an endpoint so that, while stalled, every Send
+// wedges until its context expires — a gray-failed link: the peer is
+// alive but accepts bytes arbitrarily slowly.
+type stallableLink struct {
+	transport.Endpoint
+	stalled atomic.Bool
+}
+
+func (s *stallableLink) Send(ctx context.Context, to transport.Address, kind string, payload []byte) error {
+	if s.stalled.Load() {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	return s.Endpoint.Send(ctx, to, kind, payload)
+}
+
+// TestStalledBeatIsCountedAndBeatsResume: a send blocked past the beat
+// interval is given up and counted as stalled, and the heartbeat loop
+// is not wedged by it — beats reach the peer again once the link clears.
+func TestStalledBeatIsCountedAndBeatsResume(t *testing.T) {
+	n := transport.NewMemNetwork()
+	senderEp, _ := n.Endpoint("sender")
+	receiverEp, _ := n.Endpoint("receiver")
+	w := watch(t, receiverEp, "sender", 60*time.Millisecond, nil)
+
+	link := &stallableLink{Endpoint: senderEp}
+	link.stalled.Store(true)
+	stalled := telemetry.Default().Counter("detector_heartbeats_stalled_total")
+	before := stalled.Value()
+	hb := NewHeartbeater(link, 10*time.Millisecond, "receiver")
+	hb.Start()
+	defer hb.Stop()
+
+	waitFor(t, 2*time.Second, func() bool { return stalled.Value() >= before+2 },
+		"sends blocked past the interval were not counted as stalled")
+	waitFor(t, 2*time.Second, w.Suspected, "a peer whose beats all stall was never suspected")
+	link.stalled.Store(false)
+	waitFor(t, 2*time.Second, func() bool { return !w.Suspected() },
+		"beats did not resume once the link cleared")
 }

@@ -2,9 +2,10 @@ package detector
 
 import "resilientft/internal/telemetry"
 
-// Detector series. The per-peer φ gauge and inter-arrival histogram are
-// labelled by peer address (peer sets are small — label cardinality is
-// bounded by the membership, not by traffic); the transition counters
+// Detector series. The φ gauge and inter-arrival histogram carry one
+// series per peer process, labelled by its address (a host runs one
+// watchdog per peer, however many replica groups it pairs); the
+// transition counters
 // split by direction so a flapping peer shows as paired
 // suspicion/recovery increments while a hard crash shows one suspicion
 // and one eviction.

@@ -32,7 +32,9 @@ type ReplicaConfig struct {
 	App Application
 	// Retention bounds the reply log (responses per client).
 	Retention int
-	// HeartbeatInterval and SuspectTimeout tune the failure detector.
+	// HeartbeatInterval and SuspectTimeout tune the host's failure
+	// detector for Peer; every replica pairing the same two hosts must
+	// agree on them.
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
 }
@@ -108,6 +110,13 @@ func DeployFTM(ctx context.Context, h *host.Host, cfg ReplicaConfig, control Con
 		return "", host.ErrCrashed
 	}
 	desc := core.MustLookup(cfg.FTM)
+	if desc.Hosts >= 2 {
+		// Refuse before building anything: the detector component would
+		// only find the timing conflict when it subscribes at start.
+		if err := h.CheckDetector(cfg.Peer, cfg.HeartbeatInterval, cfg.SuspectTimeout); err != nil {
+			return "", err
+		}
+	}
 	scheme := desc.Scheme(cfg.Role)
 	path := cfg.System
 
@@ -136,9 +145,8 @@ func DeployFTM(ctx context.Context, h *host.Host, cfg ReplicaConfig, control Con
 			"group": cfg.Group,
 		}, skip: desc.Hosts < 2},
 		{typ: TypeDetector, props: map[string]any{
-			"endpoint": h.Endpoint(), "peer": string(cfg.Peer), "crash": h.CrashSwitch(),
+			"host": h, "peer": string(cfg.Peer),
 			"interval": cfg.HeartbeatInterval, "timeout": cfg.SuspectTimeout,
-			"health": h.Health(),
 		}, skip: desc.Hosts < 2},
 	}
 	for _, item := range infra {

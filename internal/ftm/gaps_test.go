@@ -3,6 +3,7 @@ package ftm
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,19 +16,35 @@ func TestDeployValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  ReplicaConfig
+		want []string // substrings of the error
 	}{
-		{"missing system", ReplicaConfig{FTM: core.PBR, Role: core.RoleMaster, App: NewCalculator()}},
-		{"missing app", ReplicaConfig{System: "x", FTM: core.PBR, Role: core.RoleMaster}},
-		{"unknown ftm", ReplicaConfig{System: "x", FTM: "bogus", Role: core.RoleMaster, App: NewCalculator()}},
-		{"bad role", ReplicaConfig{System: "x", FTM: core.PBR, Role: "viceroy", App: NewCalculator()}},
+		{"missing system", ReplicaConfig{FTM: core.PBR, Role: core.RoleMaster, App: NewCalculator()}, nil},
+		{"missing app", ReplicaConfig{System: "x", FTM: core.PBR, Role: core.RoleMaster}, nil},
+		{"unknown ftm", ReplicaConfig{System: "x", FTM: "bogus", Role: core.RoleMaster, App: NewCalculator()}, nil},
+		{"bad role", ReplicaConfig{System: "x", FTM: core.PBR, Role: "viceroy", App: NewCalculator()}, nil},
+		// The host already runs its detector for beta at the pair's
+		// 10ms / 60ms: a second group cannot pair the same hosts at
+		// another timing.
+		{"detector timing", ReplicaConfig{System: "x", FTM: core.PBR, Role: core.RoleMaster, App: NewCalculator(),
+			Peer: "beta", HeartbeatInterval: 20 * time.Millisecond, SuspectTimeout: 60 * time.Millisecond},
+			[]string{"10ms / 60ms", "20ms / 60ms"}},
 	}
 	s := newTestSystem(t, core.PBR) // reuse a live host
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DeployFTM(context.Background(), s.Hosts()[0], tc.cfg, nil); err == nil {
+			_, err := NewReplica(context.Background(), s.Hosts()[0], tc.cfg)
+			if err == nil {
 				t.Fatal("invalid config deployed")
 			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not name %q", err, w)
+				}
+			}
 		})
+	}
+	if s.Hosts()[0].Runtime().Exists("x") {
+		t.Fatal("a refused deployment left its composite behind")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"resilientft/internal/component"
 	"resilientft/internal/core"
-	"resilientft/internal/faultinject"
 	"resilientft/internal/host"
 	"resilientft/internal/transport"
 )
@@ -138,16 +137,14 @@ func RegisterAll(reg *component.Registry) error {
 			return newPeerContent(ep, transport.Address(peer), system, group), nil
 		},
 		TypeDetector: func(props map[string]any) (component.Content, error) {
-			ep, err := propAs[transport.Endpoint](props, "endpoint")
+			h, err := propAs[*host.Host](props, "host")
 			if err != nil {
 				return nil, err
 			}
 			peer, _ := props["peer"].(string)
-			crash, _ := props["crash"].(*faultinject.CrashSwitch)
 			interval, _ := props["interval"].(time.Duration)
 			timeout, _ := props["timeout"].(time.Duration)
-			health, _ := props["health"].(*host.HealthMonitor)
-			return newDetectorContent(ep, transport.Address(peer), crash, interval, timeout, health), nil
+			return &detectorContent{h: h, peer: transport.Address(peer), interval: interval, timeout: timeout}, nil
 		},
 	}
 	for typ, f := range factories {

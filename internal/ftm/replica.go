@@ -359,7 +359,10 @@ func (r *Replica) CurrentScheme() (core.Scheme, error) {
 // --- Control callbacks ---------------------------------------------------
 
 // OnPeerChange reacts to failure-detector transitions: a slave promotes
-// itself when the master goes silent (the duplex recovery action).
+// itself when the master goes silent (the duplex recovery action). The
+// promotion runs before OnPeerChange returns, and the host delivers the
+// edge to its groups one at a time, so co-hosted groups promote one
+// after another rather than all at once on one runtime.
 func (r *Replica) OnPeerChange(suspected bool) {
 	if suspected {
 		mPeerSuspected.Inc()
@@ -375,13 +378,11 @@ func (r *Replica) OnPeerChange(suspected bool) {
 	r.mu.Unlock()
 	if suspected && role == core.RoleSlave {
 		r.event("peer suspected: promoting")
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := r.Promote(ctx); err != nil {
-				r.event(fmt.Sprintf("promotion failed: %v", err))
-			}
-		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := r.Promote(ctx); err != nil {
+			r.event(fmt.Sprintf("promotion failed: %v", err))
+		}
 		return
 	}
 	if suspected {
@@ -394,18 +395,6 @@ func (r *Replica) OnPeerChange(suspected bool) {
 		// promotion during a heartbeat hiccup): resolve the split brain.
 		go r.resolveSplitBrain()
 	}
-}
-
-// SetClockSkew shifts this replica's failure-detection clock by d — the
-// chaos engine's clock-skew fault. Positive skew makes the peer's
-// silence look longer than it is, which is how an unsynchronized clock
-// manufactures false suspicion. FTMs without a detector ignore it.
-func (r *Replica) SetClockSkew(d time.Duration) error {
-	rt := r.h.Runtime()
-	if rt == nil {
-		return host.ErrCrashed
-	}
-	return rt.SetProperty(r.path+"/"+NameDetector, "clock-skew", d)
 }
 
 // resolveSplitBrain queries the peer's role; when both replicas are
@@ -453,14 +442,14 @@ func (r *Replica) resolveSplitBrain() {
 		r.event(fmt.Sprintf("demotion failed: %v", err))
 	}
 	// The role reply is out-of-band proof the peer is alive, but the
-	// watchdog may still be holding an unrecovered suspicion of it (a
-	// partition that healed faster than a heartbeat round). Every
+	// host's watchdog may still be holding an unrecovered suspicion of it
+	// (a partition that healed faster than a heartbeat round). Every
 	// recovery path downstream of the detector is edge-triggered, so a
 	// slave whose detector is stuck suspected would never promote when
 	// the peer later really dies — re-arm the verdict now that liveness
 	// is proven.
-	if rt := r.h.Runtime(); rt != nil {
-		_ = rt.SetProperty(r.path+"/"+NameDetector, "reset", string(peer))
+	if wd := r.h.Watchdog(peer); wd != nil {
+		wd.Reset()
 	}
 }
 

@@ -264,13 +264,10 @@ func TestShardFailoverIsolation(t *testing.T) {
 // TestGroupsShareEndpointPair deploys two replica groups onto the SAME
 // host pair: both masters on host a, both slaves on host b, every
 // replica sharing its host's one endpoint. This is the one-process
-// shape of sharding (resilientd -shards) and exercises the endpoint
-// demultiplexers directly: the group mux must route each group's
-// requests and inter-replica traffic to the right composite, and the
-// heartbeat hub must feed both groups' watchdogs — with the old
-// one-handler-per-endpoint registration, the second group's detector
-// would starve the first's, and the starved slave would falsely promote
-// into a split brain.
+// shape of sharding (resilientd -shards): the group mux must route each
+// group's requests and inter-replica traffic to the right composite,
+// and both groups must stay fed by their host's one detector for the
+// peer — a starved slave would falsely promote into a split brain.
 func TestGroupsShareEndpointPair(t *testing.T) {
 	net := transport.NewMemNetwork(transport.WithSeed(1))
 	reg := NewRegistry()
@@ -292,7 +289,7 @@ func TestGroupsShareEndpointPair(t *testing.T) {
 	})
 
 	ctx := context.Background()
-	const suspect = 60 * time.Millisecond
+	const interval, suspect = 10 * time.Millisecond, 60 * time.Millisecond
 	groups := []string{"g0", "g1"}
 	slaves := make([]*Replica, len(groups))
 	for i, gid := range groups {
@@ -308,7 +305,7 @@ func TestGroupsShareEndpointPair(t *testing.T) {
 				Role:              side.role,
 				Peer:              side.peer.Addr(),
 				App:               NewCalculator(),
-				HeartbeatInterval: 10 * time.Millisecond,
+				HeartbeatInterval: interval,
 				SuspectTimeout:    suspect,
 			})
 			if err != nil {
@@ -336,10 +333,13 @@ func TestGroupsShareEndpointPair(t *testing.T) {
 		}
 	}
 
-	// Both groups' detectors stay fed across the shared endpoints: no
-	// slave may suspect its live master and promote. Give the watchdogs
-	// several suspicion windows to get it wrong.
-	time.Sleep(5 * suspect)
+	// No slave may suspect its live master and promote. Give the slaves'
+	// host several suspicion windows' worth of the masters' beats to get
+	// it wrong.
+	beats := telemetry.Default().Histogram("detector_interarrival", "peer", ha.Name())
+	seen := beats.Count()
+	waitUntil(t, 5*time.Second, func() bool { return beats.Count() >= seen+uint64(5*suspect/interval) },
+		"the slaves' host stopped receiving the masters' beats")
 	for i, gid := range groups {
 		if role := slaves[i].Role(); role != core.RoleSlave {
 			t.Fatalf("group %s slave promoted to %s with a live master — its watchdog starved", gid, role)

@@ -391,10 +391,10 @@ func NewStableStoreCollector(store stablestore.Store, system string, degradedLat
 }
 
 // NewHeartbeatCollector grades heartbeat quality from a φ source (the
-// failure detector's worst per-peer suspicion level): the same accrual
+// failure detector's suspicion level of its peer): the same accrual
 // scale the detector suspects on, read as a health dimension so a host
-// whose peers are drifting silent degrades before anything is evicted.
-func NewHeartbeatCollector(maxPhi func() float64, degradedPhi, unhealthyPhi float64) Collector {
+// whose peer is drifting silent degrades before anything is evicted.
+func NewHeartbeatCollector(phiOf func() float64, degradedPhi, unhealthyPhi float64) Collector {
 	if degradedPhi <= 0 {
 		degradedPhi = 4
 	}
@@ -402,7 +402,7 @@ func NewHeartbeatCollector(maxPhi func() float64, degradedPhi, unhealthyPhi floa
 		unhealthyPhi = 2 * degradedPhi
 	}
 	return CollectorFunc{"heartbeat", func() CheckResult {
-		phi := maxPhi()
+		phi := phiOf()
 		switch {
 		case phi >= unhealthyPhi:
 			return CheckResult{Unhealthy, fmt.Sprintf("phi=%.2f max=%.2f", phi, unhealthyPhi)}

@@ -94,6 +94,9 @@ type Host struct {
 	registry *component.Registry
 	crash    *faultinject.CrashSwitch
 	restarts int
+	// detectors holds the current incarnation's failure detector per
+	// peer process: Crash stops them and Restart drops them.
+	detectors map[transport.Address]*peerDetector
 }
 
 // Option configures a Host.
@@ -157,8 +160,8 @@ func NewWithEndpoint(name string, ep transport.Endpoint, registry *component.Reg
 }
 
 // initHealth attaches the health monitor with the default resource and
-// stable-store collectors. Role-specific dimensions (heartbeat quality)
-// are registered by whoever deploys them.
+// stable-store collectors. Heartbeat quality joins them with the first
+// failure detector (see Subscribe).
 func (h *Host) initHealth() {
 	h.health = NewHealthMonitor(h.name)
 	for _, c := range defaultCollectors(h) {
@@ -218,16 +221,25 @@ func (h *Host) Restarts() int {
 }
 
 // Crash fails the host: the endpoint closes (crash faults are fail-silent
-// — the node just stops answering), the crash switch trips, and the
-// component runtime is discarded. Volatile state is lost; the stable
-// store survives.
+// — the node just stops answering), the crash switch trips, the failure
+// detectors fall silent, and the component runtime is discarded.
+// Volatile state is lost; the stable store survives.
 func (h *Host) Crash() {
 	h.mu.Lock()
 	ep := h.ep
 	crash := h.crash
 	h.rt = nil
+	dets := h.detectors // no longer written: Subscribe refuses a crashed host
 	h.mu.Unlock()
 	crash.Trip()
+	// Not waited for: Crash can run on a watchdog's own delivery path (a
+	// promotion that fails silent), and Stop waits for that loop to exit.
+	go func() {
+		for _, d := range dets {
+			d.hb.Stop()
+			d.wd.Stop()
+		}
+	}()
 	if ep != nil {
 		_ = ep.Close()
 	}
@@ -252,6 +264,7 @@ func (h *Host) Restart() error {
 	h.ep = ep
 	h.rt = component.NewRuntime(h.registry)
 	h.crash = &faultinject.CrashSwitch{}
+	h.detectors = nil
 	h.restarts++
 	return nil
 }

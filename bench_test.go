@@ -20,7 +20,6 @@ import (
 	"resilientft/internal/rpc"
 	"resilientft/internal/telemetry"
 	"resilientft/internal/transport"
-	"resilientft/internal/workload"
 )
 
 // newSoloReplica deploys a single replica with a quiet failure detector,
@@ -201,45 +200,6 @@ func BenchmarkRequestLatency(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkStateSweep measures per-request latency under PBR and LFR at
-// two state footprints — the extremes of the state-size sweep (PBR ships
-// a checkpoint per request; LFR recomputes).
-func BenchmarkStateSweep(b *testing.B) {
-	for _, id := range []core.ID{core.PBR, core.LFR} {
-		for _, registers := range []int{8, 4096} {
-			b.Run(fmt.Sprintf("%s_%dregs", id, registers), func(b *testing.B) {
-				sys, err := ftm.NewSystem(context.Background(), ftm.SystemConfig{
-					System:            "bench",
-					FTM:               id,
-					HeartbeatInterval: 50 * time.Millisecond,
-					SuspectTimeout:    30 * time.Second,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sys.Shutdown()
-				client, err := sys.NewClient(rpc.WithCallTimeout(10 * time.Second))
-				if err != nil {
-					b.Fatal(err)
-				}
-				gen := workload.New(workload.Config{Seed: 1, Registers: registers, WriteRatio: 1.0})
-				for _, op := range gen.Prefill() {
-					if _, err := client.Invoke(context.Background(), op.Name, ftm.EncodeArg(op.Arg)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op := gen.Next()
-					if _, err := client.Invoke(context.Background(), op.Name, ftm.EncodeArg(op.Arg)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

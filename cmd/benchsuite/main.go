@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp  = flag.String("exp", "all", "experiment: table1|table2|table3|fig2|fig4|fig5|fig6|fig8|fig9|agility|sweep|ablation|all")
+		exp  = flag.String("exp", "all", "experiment: table1|table2|table3|fig2|fig4|fig5|fig6|fig8|fig9|agility|ablation|all")
 		runs = flag.Int("runs", 100, "repetitions per timed measurement (the paper uses 100)")
 		root = flag.String("root", ".", "repository root (for the SLOC figures)")
 	)
@@ -31,7 +31,7 @@ func main() {
 
 	switch *exp {
 	case "table1", "table2", "table3", "fig2", "fig4", "fig5", "fig6", "fig8", "fig9",
-		"agility", "sweep", "ablation", "all":
+		"agility", "ablation", "all":
 	default:
 		log.Fatalf("unknown experiment %q (see -exp in -help)", *exp)
 	}
@@ -121,14 +121,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Render())
-	}
-	if want("sweep") {
-		section("Extra — state-size sweep (PBR vs LFR request latency)")
-		points, err := experiments.StateSweep(ctx, []int{8, 64, 512, 2048, 8192}, 50)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(experiments.RenderSweep(points))
 	}
 	if want("ablation") {
 		section("Extra — differential vs monolithic replacement ablation")

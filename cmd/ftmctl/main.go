@@ -13,7 +13,6 @@
 //	ftmctl -target 127.0.0.1:7001 events
 //	ftmctl -target 127.0.0.1:7001 trace <16-hex-id>
 //	ftmctl -target 127.0.0.1:7001 blackbox
-//	ftmctl -target 127.0.0.1:7001 tune accumWindow -1
 package main
 
 import (
@@ -49,7 +48,7 @@ func run() error {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		return fmt.Errorf("usage: ftmctl [-target addr] [-peer addr] [-group id] status|shards|arch|health|slo|metrics|events|blackbox|trace <id>|transition <ftm>|invoke <op> <arg>|tune <name> <value>")
+		return fmt.Errorf("usage: ftmctl [-target addr] [-peer addr] [-group id] status|shards|arch|health|slo|metrics|events|blackbox|trace <id>|transition <ftm>|invoke <op> <arg>")
 	}
 
 	ep, err := transport.ListenTCP("127.0.0.1:0")
@@ -257,21 +256,6 @@ func run() error {
 			}
 			fmt.Printf("%s: %s -> %s replaced %v (deploy %dµs, script %dµs, remove %dµs)\n",
 				addr, out.From, out.To, out.Replaced, out.DeployUS, out.ScriptUS, out.RemoveUS)
-		}
-	case "tune":
-		if len(args) < 3 {
-			return fmt.Errorf("usage: ftmctl tune maxWave|accumWindow|accumTarget <value>")
-		}
-		value, err := strconv.ParseInt(args[2], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad value %q: %w", args[2], err)
-		}
-		for _, addr := range targets {
-			echo, err := mgmt.RequestTune(ctx, ep, addr, *group, args[1], value)
-			if err != nil {
-				return fmt.Errorf("%s: %w", addr, err)
-			}
-			fmt.Printf("%s: %s\n", addr, echo)
 		}
 	case "invoke":
 		if len(args) < 3 {

@@ -454,6 +454,108 @@ func RenderFig9(rows []Fig9Row) string {
 	return b.String()
 }
 
+// AblationResult compares the differential transition against a
+// monolithic replacement of the whole FTM composite.
+type AblationResult struct {
+	Differential time.Duration
+	Monolithic   time.Duration
+	Runs         int
+}
+
+// AblationDifferential measures the design choice at the heart of the
+// paper: a PBR→LFR differential transition (swap two bricks) vs a
+// monolithic replacement (tear the composite down, redeploy the target
+// FTM from scratch, transfer state explicitly).
+func AblationDifferential(ctx context.Context, runs int) (*AblationResult, error) {
+	if runs < 1 {
+		runs = 1
+	}
+	res := &AblationResult{Runs: runs}
+	engine := adaptation.NewEngine(nil)
+
+	for run := 0; run < runs; run++ {
+		// Differential.
+		r, h, err := soloReplica(ctx, fmt.Sprintf("abl-d-%d", run), core.PBR)
+		if err != nil {
+			return nil, err
+		}
+		report := engine.TransitionReplica(ctx, r, core.LFR)
+		if report.Err != nil {
+			h.Crash()
+			return nil, report.Err
+		}
+		res.Differential += report.Steps.Total()
+		h.Crash()
+
+		// Monolithic: capture state, remove the composite, deploy the
+		// target FTM, restore state.
+		r, h, err = soloReplica(ctx, fmt.Sprintf("abl-m-%d", run), core.PBR)
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		state, err := r.App().StateManager().CaptureState()
+		if err != nil {
+			h.Crash()
+			return nil, err
+		}
+		rt := h.Runtime()
+		if err := rt.Stop(ctx, r.Path()); err != nil {
+			h.Crash()
+			return nil, err
+		}
+		cp, err := rt.LookupComposite(r.Path())
+		if err != nil {
+			h.Crash()
+			return nil, err
+		}
+		for _, child := range cp.Components() {
+			if err := rt.Stop(ctx, r.Path()+"/"+child.Name()); err != nil {
+				h.Crash()
+				return nil, err
+			}
+		}
+		// Monolithic replacement discards the whole composite (its
+		// internal wiring goes with it).
+		if err := rt.Remove(r.Path()); err != nil {
+			h.Crash()
+			return nil, err
+		}
+		newApp := ftm.NewCalculator()
+		if err := newApp.StateManager().RestoreState(state); err != nil {
+			h.Crash()
+			return nil, err
+		}
+		if _, err := ftm.DeployFTM(ctx, h, ftm.ReplicaConfig{
+			System:            "bench",
+			FTM:               core.LFR,
+			Role:              core.RoleMaster,
+			App:               newApp,
+			HeartbeatInterval: time.Hour,
+			SuspectTimeout:    24 * time.Hour,
+		}, nil); err != nil {
+			h.Crash()
+			return nil, err
+		}
+		res.Monolithic += time.Since(start)
+		h.Crash()
+	}
+	res.Differential /= time.Duration(runs)
+	res.Monolithic /= time.Duration(runs)
+	return res, nil
+}
+
+// Render formats the ablation.
+func (r *AblationResult) Render() string {
+	var b strings.Builder
+	b.WriteString("Ablation: differential transition vs monolithic FTM replacement (PBR -> LFR, one replica)\n")
+	fmt.Fprintf(&b, "  differential (swap 2 bricks):        %v\n", r.Differential.Round(time.Microsecond))
+	fmt.Fprintf(&b, "  monolithic (teardown + redeploy):    %v  (%.1fx slower, plus explicit state transfer)\n",
+		r.Monolithic.Round(time.Microsecond), float64(r.Monolithic)/float64(r.Differential))
+	fmt.Fprintf(&b, "  (mean of %d runs)\n", r.Runs)
+	return b.String()
+}
+
 // sortedIDs returns the evaluation set sorted for deterministic output.
 func sortedIDs() []core.ID {
 	out := append([]core.ID(nil), core.DeployableSet()...)

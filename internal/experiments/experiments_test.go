@@ -204,3 +204,16 @@ func TestSLOCSummary(t *testing.T) {
 		t.Errorf("summary = %q", out)
 	}
 }
+
+func TestAblationDifferentialWins(t *testing.T) {
+	res, err := AblationDifferential(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Monolithic <= res.Differential {
+		t.Fatalf("monolithic (%v) not slower than differential (%v)", res.Monolithic, res.Differential)
+	}
+	if !strings.Contains(res.Render(), "Ablation") {
+		t.Error("render missing title")
+	}
+}

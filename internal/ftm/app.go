@@ -288,23 +288,3 @@ type NonDeterministic struct {
 
 // Deterministic reports false.
 func (NonDeterministic) Deterministic() bool { return false }
-
-// FullStateOnly wraps an application to hide its state manager's delta
-// tracking — modelling a version whose state manager supports only full
-// captures (an A variation). A checkpointing FTM protecting it ships a
-// full checkpoint per request, the paper's original cost model; the
-// experiments use this to contrast the two regimes.
-type FullStateOnly struct {
-	Application
-}
-
-// fullOnlyManager exposes just the base Manager methods of the wrapped
-// manager, so type assertions for appstate.DeltaCapturer fail.
-type fullOnlyManager struct {
-	appstate.Manager
-}
-
-// StateManager exposes the capture/restore-only view of the state.
-func (f FullStateOnly) StateManager() appstate.Manager {
-	return fullOnlyManager{f.Application.StateManager()}
-}

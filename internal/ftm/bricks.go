@@ -56,19 +56,6 @@ func callPayload(msg component.Message) (*Call, error) {
 	return call, nil
 }
 
-// intProperty coerces a property value to int — fscript `set` statements
-// deliver strings, programmatic callers deliver ints.
-func intProperty(value any) (int, error) {
-	switch v := value.(type) {
-	case int:
-		return v, nil
-	case string:
-		return strconv.Atoi(v)
-	default:
-		return 0, fmt.Errorf("value is %T, want int", value)
-	}
-}
-
 // --- Nothing -----------------------------------------------------------
 
 // nopBrick fills a slot whose Table 2 entry is "Nothing".
@@ -279,18 +266,7 @@ type pbrCheckpointAfter struct {
 	deltasSince int
 }
 
-var (
-	_ component.Content          = (*pbrCheckpointAfter)(nil)
-	_ component.PropertyReceiver = (*pbrCheckpointAfter)(nil)
-)
-
-// SetProperty accepts the wave-size cap ("maxWave") and the
-// accumulation-window tunables ("accumWindow" in ns, -1 restoring the
-// adaptive controller; "accumTarget" in ns), settable from an fscript
-// `set` statement or an ftmctl tune command.
-func (a *pbrCheckpointAfter) SetProperty(name string, value any) error {
-	return waveProperty(a.waves, name, value)
-}
+var _ component.Content = (*pbrCheckpointAfter)(nil)
 
 func (a *pbrCheckpointAfter) Invoke(ctx context.Context, service string, msg component.Message) (component.Message, error) {
 	switch msg.Op {
@@ -708,42 +684,7 @@ type lfrNotifyAfter struct {
 	waves *waveNotifier
 }
 
-var (
-	_ component.Content          = (*lfrNotifyAfter)(nil)
-	_ component.PropertyReceiver = (*lfrNotifyAfter)(nil)
-)
-
-// SetProperty accepts the wave-size cap ("maxWave") and the
-// accumulation-window tunables ("accumWindow", "accumTarget").
-func (a *lfrNotifyAfter) SetProperty(name string, value any) error {
-	return waveProperty(a.waves, name, value)
-}
-
-// waveProperty routes the shared wave-batching tunables of the
-// synchronizing After bricks onto their notifier.
-func waveProperty(waves *waveNotifier, name string, value any) error {
-	switch name {
-	case "maxWave":
-		m, err := intProperty(value)
-		if err != nil {
-			return fmt.Errorf("ftm: maxWave property: %w", err)
-		}
-		waves.setMaxWave(m)
-	case "accumWindow":
-		ns, err := intProperty(value)
-		if err != nil {
-			return fmt.Errorf("ftm: accumWindow property: %w", err)
-		}
-		waves.accum.setFixed(int64(ns))
-	case "accumTarget":
-		ns, err := intProperty(value)
-		if err != nil {
-			return fmt.Errorf("ftm: accumTarget property: %w", err)
-		}
-		waves.accum.setTarget(int64(ns))
-	}
-	return nil // unknown properties are inert
-}
+var _ component.Content = (*lfrNotifyAfter)(nil)
 
 func (a *lfrNotifyAfter) Invoke(ctx context.Context, service string, msg component.Message) (component.Message, error) {
 	switch msg.Op {

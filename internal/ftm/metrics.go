@@ -35,13 +35,8 @@ var (
 	mWavePBRFailed   = telemetry.Default().Counter("ftm_commit_wave_failed_total", "kind", "pbr")
 	mWaveLFRFailed   = telemetry.Default().Counter("ftm_commit_wave_failed_total", "kind", "lfr")
 	mCkptBatchSize   = telemetry.Default().Histogram("ftm_checkpoint_batch_size")
-	// mWaveShipLatency times one covering ship, capture to acknowledgement;
-	// the adaptive accumulation window steers on its upper quantiles.
+	// mWaveShipLatency times one covering ship, capture to acknowledgement.
 	mWaveShipLatency = telemetry.Default().Histogram("ftm_wave_ship_latency")
-	// mAccumWindow is the accumulation window currently in force, in
-	// nanoseconds (see accum.go; shared across notifiers, last writer
-	// wins — the exported value is a view, not the control state).
-	mAccumWindow = telemetry.Default().Gauge("ftm_accum_window_ns")
 
 	mResyncPrimary = telemetry.Default().Counter("ftm_resync_total", "side", "primary")
 	mResyncBackup  = telemetry.Default().Counter("ftm_resync_total", "side", "backup")

@@ -36,11 +36,10 @@ type ShardedConfig struct {
 }
 
 // ShardedSystem is N independent two-replica groups plus the routing
-// glue: each group has its own hosts, detector, wave batcher,
-// accumulation-window controller and reply log — no shared locks
-// anywhere on the request path — and a Router spreads keys across them
-// on a consistent-hash ring. It is the harness behind the sharded
-// benchmarks and the shard-isolation tests.
+// glue: each group has its own hosts, detector, wave batcher and reply
+// log — no shared locks anywhere on the request path — and a Router
+// spreads keys across them on a consistent-hash ring. It is the harness
+// behind the sharded benchmarks and the shard-isolation tests.
 type ShardedSystem struct {
 	Net *transport.MemNetwork
 

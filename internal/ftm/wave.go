@@ -2,6 +2,7 @@ package ftm
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -72,26 +73,12 @@ type waveNotifier struct {
 	queue   []*commitWave // FIFO; the tail wave is open to new members
 	maxWave int           // member cap per ship; <=0 means unbounded
 	leadCh  chan struct{} // leadership token
-	// accum sizes the leader's accumulation window (see accum.go).
-	accum *accumControl
 }
 
 func newWaveNotifier(maxWave int) *waveNotifier {
-	n := &waveNotifier{maxWave: maxWave, leadCh: make(chan struct{}, 1), accum: newAccumControl()}
+	n := &waveNotifier{maxWave: maxWave, leadCh: make(chan struct{}, 1)}
 	n.leadCh <- struct{}{}
 	return n
-}
-
-func (n *waveNotifier) maxWaveNow() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.maxWave
-}
-
-func (n *waveNotifier) setMaxWave(m int) {
-	n.mu.Lock()
-	n.maxWave = m
-	n.mu.Unlock()
 }
 
 // join adds one request to the open wave, starting a new wave when none
@@ -125,9 +112,9 @@ func (n *waveNotifier) join(seq uint64, resp *rpc.Response, trace telemetry.Span
 
 // detach pops queued waves for one ship, oldest first, merging whole
 // waves while the combined membership stays within maxWave (at least one
-// wave is always taken, so progress never stalls on a lowered cap). The
-// detached waves are closed to new members; later joiners start a fresh
-// wave behind them.
+// wave is always taken, so progress never stalls). The detached waves
+// are closed to new members; later joiners start a fresh wave behind
+// them.
 func (n *waveNotifier) detach() []*commitWave {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -186,16 +173,13 @@ func (n *waveNotifier) ride(ctx context.Context, w *commitWave, ship func([]*com
 		case <-ctx.Done():
 			return "", ctx.Err()
 		case <-n.leadCh:
-			// Accumulation window: concurrent requests that are still
-			// mid-pipeline (or woken by the previous ship) get time to
-			// reach join before the leader detaches. This is what makes
-			// waves actually fill on few-core hosts, where the scheduler's
-			// wake-chaining would otherwise run one request to completion
-			// before starting the next. The controller sizes the window
-			// from recent batch fill and ship latency (see accum.go); its
-			// floor is a single yield per ship, not per request.
-			n.accum.retune(n.maxWaveNow())
-			n.accum.linger()
+			// One yield before detaching: concurrent requests that are
+			// already runnable (or woken by the previous ship) get a
+			// scheduler pass to reach join. This is what makes waves fill
+			// on few-core hosts, where the scheduler's wake-chaining would
+			// otherwise run one request to completion before starting the
+			// next. The yield is paid once per ship, not per request.
+			runtime.Gosched()
 			for !w.resolved() {
 				batch := n.detach()
 				if len(batch) == 0 {

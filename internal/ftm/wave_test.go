@@ -70,7 +70,7 @@ func TestWaveDetachAlwaysTakesAtLeastOneWave(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		n.join(uint64(i), nil, telemetry.SpanContext{})
 	}
-	n.setMaxWave(1) // cap lowered below the open wave's size
+	n.maxWave = 1 // cap below the open wave's size
 	batch := n.detach()
 	if len(batch) != 1 || batch[0].members != 5 {
 		t.Fatalf("detach = %+v, want the full 5-member wave despite the lowered cap", batch)
@@ -181,14 +181,16 @@ func TestWaveRideHonorsContext(t *testing.T) {
 	// Park the token on a leader that never finishes its ship.
 	blockForever := make(chan struct{})
 	defer close(blockForever)
+	shipping := make(chan struct{})
 	w1 := n.join(1, nil, telemetry.SpanContext{})
 	go n.ride(context.Background(), w1, func([]*commitWave) (string, error) {
+		close(shipping)
 		<-blockForever
 		return "ok", nil
 	})
 	// Second rider joins a fresh wave behind the stuck leader and gives
 	// up via its context.
-	time.Sleep(10 * time.Millisecond) // let the leader detach w1 first
+	<-shipping // the leader detached w1 and holds the token
 	w2 := n.join(2, nil, telemetry.SpanContext{})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -35,7 +35,6 @@ const (
 	OpEvents     = "events"
 	OpTrace      = "trace"
 	OpBlackbox   = "blackbox"
-	OpTune       = "tune"
 	OpHealth     = "health"
 	OpShards     = "shards"
 	OpSLO        = "slo"
@@ -48,16 +47,6 @@ const (
 type SLOReporter interface {
 	ReportJSON() ([]byte, error)
 	ShardGrade(shard string) (string, bool)
-}
-
-// tunables lists the replication knobs OpTune may push, all properties
-// of the synchronizing After brick: the wave-size cap and the adaptive
-// accumulation window's pin/budget (nanoseconds; accumWindow -1
-// restores adaptation).
-var tunables = map[string]bool{
-	"maxWave":     true,
-	"accumWindow": true,
-	"accumTarget": true,
 }
 
 // Request is a management command.
@@ -75,9 +64,6 @@ type Request struct {
 	// everything retained).
 	SinceSeq  uint64
 	EventKind string
-	// Name and Value carry an OpTune assignment.
-	Name  string
-	Value int64
 }
 
 // Status reports a replica's state.
@@ -130,8 +116,6 @@ type reply struct {
 	// side prints them without re-encoding.
 	Trace string
 	Boxes string
-	// Tune echoes an applied OpTune assignment.
-	Tune string
 	// Health carries the host's graded health report pre-marshaled as
 	// JSON (the same document the daemon's HTTP /health route serves).
 	Health string
@@ -357,22 +341,6 @@ func (s *Server) handleReplica(ctx context.Context, e *served, req *Request, out
 		if report.Err != nil {
 			out.Transition.Err = report.Err.Error()
 		}
-	case OpTune:
-		if !tunables[req.Name] {
-			out.Err = fmt.Sprintf("unknown tunable %q", req.Name)
-			break
-		}
-		rt := r.Host().Runtime()
-		if rt == nil {
-			out.Err = "host crashed"
-			break
-		}
-		path := r.Path() + "/" + core.SlotAfter
-		if err := rt.SetProperty(path, req.Name, int(req.Value)); err != nil {
-			out.Err = err.Error()
-			break
-		}
-		out.Tune = fmt.Sprintf("%s=%d on %s", req.Name, req.Value, path)
 	case OpHealth:
 		hm := r.Host().Health()
 		// Run the collectors now: a health query deserves a fresh
@@ -520,16 +488,6 @@ func QuerySLO(ctx context.Context, ep transport.Endpoint, target transport.Addre
 		return "", err
 	}
 	return out.SLO, nil
-}
-
-// RequestTune pushes a replication tunable (maxWave, accumWindow,
-// accumTarget) onto a replica's synchronizing After brick.
-func RequestTune(ctx context.Context, ep transport.Endpoint, target transport.Address, group, name string, value int64) (string, error) {
-	out, err := call(ctx, ep, target, Request{Op: OpTune, Group: group, Name: name, Value: value})
-	if err != nil {
-		return "", err
-	}
-	return out.Tune, nil
 }
 
 // QueryArchitecture fetches a replica's live component architecture.

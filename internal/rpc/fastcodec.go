@@ -184,13 +184,23 @@ func (rl ResponseList) AppendFast(buf []byte) []byte {
 	return buf
 }
 
+// minResponseBytes is the smallest encoded response: five one-byte
+// length/varint fields (clientID, seq, status, payload, err) plus the
+// replayed flag.
+const minResponseBytes = 6
+
 // DecodeFast implements transport.FastUnmarshaler. An existing backing
 // array is reused when it has the capacity, so a pooled list decodes
-// batch after batch without reallocating.
+// batch after batch without reallocating. The entry count comes off the
+// wire, so it is checked against the bytes that could hold that many
+// entries before anything is allocated for them.
 func (rl *ResponseList) DecodeFast(data []byte) error {
 	n, data, err := transport.ReadUvarint(data)
 	if err != nil {
 		return fmt.Errorf("rpc: response list length: %w", err)
+	}
+	if n > uint64(len(data)/minResponseBytes) {
+		return fmt.Errorf("rpc: response list claims %d entries in %d bytes: %w", n, len(data), transport.ErrShortBuffer)
 	}
 	out := (*rl)[:0]
 	if uint64(cap(out)) < n {

@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"testing"
 
 	"resilientft/internal/telemetry"
@@ -112,4 +114,60 @@ func TestFastTypesRejectGob(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A response list's entry count comes off the wire: a 6-byte frame
+// claiming 2^40 entries must be refused as short before the decoder
+// sizes a backing array for them (an allocation that size is a fatal
+// runtime error no recover catches).
+func TestResponseListRejectsOversizedCount(t *testing.T) {
+	var rl ResponseList
+	err := rl.DecodeFast(binary.AppendUvarint(nil, 1<<40))
+	if !errors.Is(err, transport.ErrShortBuffer) {
+		t.Fatalf("err = %v, want transport.ErrShortBuffer", err)
+	}
+}
+
+// FuzzResponseListDecode drives the response-list decode with
+// adversarial bytes: valid 0-, 1- and 3-entry lists, their truncations
+// and an entry count far past what the buffer can hold. The decode may
+// reject anything but must never panic, and whatever it accepts must
+// re-encode through AppendFast to a list that decodes equal.
+func FuzzResponseListDecode(f *testing.F) {
+	lists := []ResponseList{
+		{},
+		{{ClientID: "c1", Seq: 1, Payload: []byte{1, 2}}},
+		{
+			{ClientID: "c1", Seq: 1, Payload: []byte("a")},
+			{ClientID: "c2", Seq: 9, Status: StatusAppError, Err: "boom"},
+			{ClientID: "c1", Seq: 2, Replayed: true},
+		},
+	}
+	for _, rl := range lists {
+		wire := rl.AppendFast(nil)
+		f.Add(wire)
+		f.Add(wire[:len(wire)/2])
+	}
+	f.Add(binary.AppendUvarint(nil, 1<<40))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rl ResponseList
+		if err := rl.DecodeFast(data); err != nil {
+			return
+		}
+		var back ResponseList
+		if err := back.DecodeFast(rl.AppendFast(nil)); err != nil {
+			t.Fatalf("re-decode of accepted list failed: %v", err)
+		}
+		if len(back) != len(rl) {
+			t.Fatalf("re-encode changed the length: %d vs %d", len(back), len(rl))
+		}
+		for i := range rl {
+			a, b := rl[i], back[i]
+			if a.ClientID != b.ClientID || a.Seq != b.Seq || a.Status != b.Status ||
+				!bytes.Equal(a.Payload, b.Payload) || a.Err != b.Err || a.Replayed != b.Replayed {
+				t.Fatalf("entry %d drifted: %+v vs %+v", i, b, a)
+			}
+		}
+	})
 }

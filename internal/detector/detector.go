@@ -8,6 +8,7 @@ package detector
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -24,10 +25,13 @@ const KindHeartbeat = "fd.heartbeat"
 // carries a one-interval timeout, so a peer that accepts bytes slowly
 // (gray failure) costs at most the beats that fall due while the send is
 // stalled, and the loop resumes on the next tick once the link clears.
+// A send the peer's host refuses outright (nothing listens at its
+// address) is reported to the OnRefused callback.
 type Heartbeater struct {
-	ep       transport.Endpoint
-	peer     transport.Address
-	interval time.Duration
+	ep        transport.Endpoint
+	peer      transport.Address
+	interval  time.Duration
+	onRefused func()
 
 	stop chan struct{}
 	done chan struct{}
@@ -46,6 +50,10 @@ func NewHeartbeater(ep transport.Endpoint, interval time.Duration, peer transpor
 		done:     make(chan struct{}),
 	}
 }
+
+// OnRefused sets f to run, on the heartbeat loop, after each beat whose
+// send failed with transport.ErrRefused. Call it before Start.
+func (h *Heartbeater) OnRefused(f func()) { h.onRefused = f }
 
 // Start launches the heartbeat loop.
 func (h *Heartbeater) Start() {
@@ -70,11 +78,17 @@ func (h *Heartbeater) Start() {
 func (h *Heartbeater) beat() {
 	ctx, cancel := context.WithTimeout(context.Background(), h.interval)
 	defer cancel()
-	// Heartbeats are fire-and-forget; a dead peer's error is the
-	// watchdog's business, not ours. A timed-out send is worth counting,
-	// though: it is the emitting side's first sign of a gray peer.
+	// Heartbeats are fire-and-forget: a lost or unanswered beat is the
+	// peer watchdog's business. Two failures are evidence in their own
+	// right, though. A refused send means the peer's process is gone; a
+	// timed-out one is the emitting side's first sign of a gray peer.
 	if err := h.ep.Send(ctx, h.peer, KindHeartbeat, []byte(h.ep.Addr())); err != nil {
-		if ctx.Err() != nil {
+		switch {
+		case errors.Is(err, transport.ErrRefused):
+			if h.onRefused != nil {
+				h.onRefused()
+			}
+		case ctx.Err() != nil:
 			mHeartbeatsStalled.Inc()
 		}
 		return
@@ -390,6 +404,32 @@ func (w *Watchdog) Phi() float64 {
 	return w.phiLocked(now)
 }
 
+// Refused is the crash witness: a heartbeat toward the peer was refused
+// by its host, so nothing listens at the peer's address any more. A peer
+// heard from since the last Reset moves from alive to suspected at once,
+// without waiting for φ to accrue; the transition carries the same
+// evidence a φ suspicion does. Before the first arrival (the peer may
+// not be listening yet) and on a peer already suspected it does nothing.
+// Recovery is unchanged: RecoveryBeats qualifying arrivals.
+func (w *Watchdog) Refused() {
+	now := w.clock()
+	w.mu.Lock()
+	last := w.est.LastSeen()
+	if last.IsZero() || w.state != StateAlive {
+		w.mu.Unlock()
+		return
+	}
+	tr := Transition{
+		Peer: w.peer, From: StateAlive, To: StateSuspected,
+		Phi: w.phiLocked(now), Silence: now.Sub(last), SilentSince: last,
+	}
+	w.silentSince = last
+	w.state = StateSuspected
+	w.freshBeats = 0
+	w.mu.Unlock()
+	w.escalated(tr, ReasonRefused)
+}
+
 // Start launches the periodic grading check (at a quarter of the
 // bootstrap timeout).
 func (w *Watchdog) Start() {
@@ -467,12 +507,26 @@ func (w *Watchdog) check() {
 	w.state = to
 	w.freshBeats = 0
 	w.mu.Unlock()
+	w.escalated(tr, ReasonPhi)
+}
 
+// Suspicion reasons: what raised a peer from alive to suspected.
+const (
+	// ReasonPhi: the peer's silence accrued φ past the suspect level
+	// (or, while bootstrapping, past the silence timeout).
+	ReasonPhi = "phi"
+	// ReasonRefused: a heartbeat to the peer was refused (see Refused).
+	ReasonRefused = "refused"
+)
+
+// escalated records an escalation the caller has applied under mu and
+// reports it to onChange, outside the lock.
+func (w *Watchdog) escalated(tr Transition, reason string) {
 	switch tr.To {
 	case StateSuspected:
-		mSuspicions.Inc()
+		suspicionCounter(reason).Inc()
 		telemetry.Emit("detector", "suspected", tr.Silence,
-			"peer", string(tr.Peer), "phi", fmt.Sprintf("%.2f", tr.Phi))
+			"peer", string(tr.Peer), "phi", fmt.Sprintf("%.2f", tr.Phi), "reason", reason)
 	case StateEvicted:
 		mEvictions.Inc()
 		telemetry.Emit("detector", "evicted", tr.Silence,

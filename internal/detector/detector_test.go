@@ -211,6 +211,7 @@ func TestStalledBeatIsCountedAndBeatsResume(t *testing.T) {
 	stalled := telemetry.Default().Counter("detector_heartbeats_stalled_total")
 	before := stalled.Value()
 	hb := NewHeartbeater(link, 10*time.Millisecond, "receiver")
+	hb.OnRefused(func() { t.Error("a stalled beat was reported as refused") })
 	hb.Start()
 	defer hb.Stop()
 
@@ -220,4 +221,41 @@ func TestStalledBeatIsCountedAndBeatsResume(t *testing.T) {
 	link.stalled.Store(false)
 	waitFor(t, 2*time.Second, func() bool { return !w.Suspected() },
 		"beats did not resume once the link cleared")
+}
+
+// countingLink counts the heartbeats a heartbeater tries to send, so a
+// test can wait for beats instead of sleeping.
+type countingLink struct {
+	transport.Endpoint
+	sends atomic.Int32
+}
+
+func (c *countingLink) Send(ctx context.Context, to transport.Address, kind string, payload []byte) error {
+	c.sends.Add(1)
+	return c.Endpoint.Send(ctx, to, kind, payload)
+}
+
+// TestHeartbeaterReportsOnlyRefusals: a beat toward a closed endpoint is
+// refused and reported; a beat across a partition is lost silently and
+// is not.
+func TestHeartbeaterReportsOnlyRefusals(t *testing.T) {
+	n := transport.NewMemNetwork()
+	senderEp, _ := n.Endpoint("sender")
+	peerEp, _ := n.Endpoint("peer")
+	link := &countingLink{Endpoint: senderEp}
+	var refusals atomic.Int32
+	hb := NewHeartbeater(link, 2*time.Millisecond, "peer")
+	hb.OnRefused(func() { refusals.Add(1) })
+	hb.Start()
+	defer hb.Stop()
+
+	n.Partition("sender", "peer")
+	waitFor(t, 2*time.Second, func() bool { return link.sends.Load() >= 5 }, "no beats attempted")
+	if got := refusals.Load(); got != 0 {
+		t.Fatalf("%d beats across a partition reported as refused", got)
+	}
+	n.HealAll()
+	peerEp.Close()
+	waitFor(t, 2*time.Second, func() bool { return refusals.Load() >= 1 },
+		"beats to a closed endpoint never reported as refused")
 }

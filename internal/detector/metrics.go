@@ -5,14 +5,15 @@ import "resilientft/internal/telemetry"
 // Detector series. The φ gauge and inter-arrival histogram carry one
 // series per peer process, labelled by its address (a host runs one
 // watchdog per peer, however many replica groups it pairs); the
-// transition counters
-// split by direction so a flapping peer shows as paired
-// suspicion/recovery increments while a hard crash shows one suspicion
-// and one eviction.
+// transition counters split by direction so a flapping peer shows as
+// paired suspicion/recovery increments while a hard crash shows one
+// suspicion and one eviction. Suspicions split further by reason, so a
+// crash witnessed by a refused beat reads apart from accrued silence.
 var (
-	mSuspicions = telemetry.Default().Counter("detector_suspicions_total")
-	mRecoveries = telemetry.Default().Counter("detector_recoveries_total")
-	mEvictions  = telemetry.Default().Counter("detector_evictions_total")
+	mSuspicionsPhi     = telemetry.Default().Counter("detector_suspicions_total", "reason", ReasonPhi)
+	mSuspicionsRefused = telemetry.Default().Counter("detector_suspicions_total", "reason", ReasonRefused)
+	mRecoveries        = telemetry.Default().Counter("detector_recoveries_total")
+	mEvictions         = telemetry.Default().Counter("detector_evictions_total")
 
 	mHeartbeatsSent    = telemetry.Default().Counter("detector_heartbeats_sent_total")
 	mHeartbeatsStalled = telemetry.Default().Counter("detector_heartbeats_stalled_total")
@@ -28,4 +29,12 @@ func peerPhiGauge(peer string) *telemetry.Gauge {
 // p50/p95/p99 the exporters derive.
 func peerInterarrival(peer string) *telemetry.Histogram {
 	return telemetry.Default().Histogram("detector_interarrival", "peer", peer)
+}
+
+// suspicionCounter resolves the suspicion counter of one reason.
+func suspicionCounter(reason string) *telemetry.Counter {
+	if reason == ReasonRefused {
+		return mSuspicionsRefused
+	}
+	return mSuspicionsPhi
 }

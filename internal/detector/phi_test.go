@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientft/internal/telemetry"
 	"resilientft/internal/transport"
 )
 
@@ -248,5 +249,93 @@ func TestEvictionAfterSustainedSilence(t *testing.T) {
 	}
 	if transitions[0].SilentSince.IsZero() {
 		t.Fatal("suspicion transition lost the silent-since timestamp")
+	}
+}
+
+// refusalWatchdog is a deterministic watchdog whose transitions the test
+// collects, tuned so the φ path stays quiet unless the test advances the
+// clock far.
+func refusalWatchdog(peer transport.Address) (*Watchdog, *fakeClock, *[]Transition) {
+	var transitions []Transition
+	w, clk := deterministicWatchdog(peer, Config{
+		RecoveryBeats:    3,
+		BootstrapTimeout: 80 * time.Millisecond,
+		AcceptablePause:  time.Nanosecond,
+		MinStdDev:        time.Millisecond,
+	}, func(tr Transition) { transitions = append(transitions, tr) })
+	return w, clk, &transitions
+}
+
+// TestRefusedNeedsAPeerSeenAlive: a refusal before the first arrival is
+// a peer that is not listening yet (boot order), not a crash; nor is one
+// after Reset re-anchored the model.
+func TestRefusedNeedsAPeerSeenAlive(t *testing.T) {
+	w, clk, transitions := refusalWatchdog("unborn")
+	w.Refused()
+	if w.Suspected() || len(*transitions) != 0 {
+		t.Fatalf("refusal before any beat: state %v, transitions %v", w.State(), *transitions)
+	}
+	clk.advance(10 * time.Millisecond)
+	w.Observe()
+	w.Reset()
+	w.Refused()
+	if w.Suspected() || len(*transitions) != 0 {
+		t.Fatalf("refusal after Reset: state %v, transitions %v", w.State(), *transitions)
+	}
+}
+
+// TestRefusedSuspectsOnceAndRecoversByBeats: after one arrival a refusal
+// is one alive->suspected transition with φ's evidence, counted and
+// recorded under reason "refused"; a second refusal adds nothing; and
+// the verdict clears only after RecoveryBeats arrivals, as a φ suspicion
+// does.
+func TestRefusedSuspectsOnceAndRecoversByBeats(t *testing.T) {
+	const peer = transport.Address("refusing")
+	w, clk, transitions := refusalWatchdog(peer)
+	refused, phiSuspicions := mSuspicionsRefused.Value(), mSuspicionsPhi.Value()
+	mark := telemetry.DefaultTracer().Mark()
+
+	clk.advance(10 * time.Millisecond)
+	w.Observe()
+	clk.advance(5 * time.Millisecond)
+	w.Refused()
+	if !w.Suspected() || len(*transitions) != 1 {
+		t.Fatalf("after a beat, refusal: state %v, transitions %v", w.State(), *transitions)
+	}
+	tr := (*transitions)[0]
+	if tr.Peer != peer || tr.From != StateAlive || tr.To != StateSuspected ||
+		tr.Silence != 5*time.Millisecond || !tr.SilentSince.Equal(clk.at(-5*time.Millisecond)) {
+		t.Fatalf("transition %+v, want alive->suspected after 5ms of silence", tr)
+	}
+	if got := mSuspicionsRefused.Value() - refused; got != 1 {
+		t.Fatalf("refused suspicions grew by %d, want 1", got)
+	}
+	if got := mSuspicionsPhi.Value() - phiSuspicions; got != 0 {
+		t.Fatalf("φ suspicions grew by %d, want 0", got)
+	}
+	var reasons []string
+	for _, ev := range telemetry.DefaultTracer().Since(mark) {
+		if ev.Kind == "detector" && ev.Name == "suspected" && ev.Attrs["peer"] == string(peer) {
+			reasons = append(reasons, ev.Attrs["reason"])
+		}
+	}
+	if len(reasons) != 1 || reasons[0] != ReasonRefused {
+		t.Fatalf("detector/suspected events carry reasons %v, want [refused]", reasons)
+	}
+
+	w.Refused()
+	if len(*transitions) != 1 {
+		t.Fatalf("refusal of a suspected peer transitioned: %v", *transitions)
+	}
+
+	for beat := 1; beat <= 3; beat++ {
+		if !w.Suspected() {
+			t.Fatalf("recovered after %d beats, want 3", beat-1)
+		}
+		clk.advance(10 * time.Millisecond)
+		w.Observe()
+	}
+	if w.Suspected() || len(*transitions) != 2 || (*transitions)[1].To != StateAlive {
+		t.Fatalf("after 3 beats: state %v, transitions %v", w.State(), *transitions)
 	}
 }

@@ -812,17 +812,12 @@ func (a *lfrAckAfter) Invoke(ctx context.Context, service string, msg component.
 		}
 		return component.NewMessage("ok", nil), nil
 	case "commit.batch":
-		switch batch := msg.Payload.(type) {
-		case *rpc.ResponseList:
-			if err := log.appendList(ctx, batch); err != nil {
-				return component.Message{}, err
-			}
-		case []rpc.Response:
-			if err := log.appendBatch(ctx, batch); err != nil {
-				return component.Message{}, err
-			}
-		default:
+		batch, ok := msg.Payload.(*rpc.ResponseList)
+		if !ok {
 			return component.Message{}, fmt.Errorf("ftm: commit batch payload is %T", msg.Payload)
+		}
+		if err := log.appendList(ctx, batch); err != nil {
+			return component.Message{}, err
 		}
 		return component.NewMessage("ok", nil), nil
 	case OpFlush:

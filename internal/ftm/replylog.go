@@ -110,16 +110,12 @@ func (r *replyLogContent) Invoke(ctx context.Context, service string, msg compon
 		tail, newMark, sinceOK := r.log.SnapshotSince(mark)
 		return component.NewMessage("ok", sinceResult{Tail: tail, Mark: newMark, OK: sinceOK}), nil
 	case OpAppendLog:
-		switch batch := msg.Payload.(type) {
-		case *rpc.ResponseList:
-			r.log.RecordAll(*batch)
-			return component.NewMessage("ok", nil), nil
-		case []rpc.Response:
-			r.log.RecordAll(batch)
-			return component.NewMessage("ok", nil), nil
-		default:
+		batch, ok := msg.Payload.(*rpc.ResponseList)
+		if !ok {
 			return component.Message{}, fmt.Errorf("ftm: replyLog append payload is %T", msg.Payload)
 		}
+		r.log.RecordAll(*batch)
+		return component.NewMessage("ok", nil), nil
 	case OpRestoreL:
 		snap, ok := msg.Payload.([]rpc.Response)
 		if !ok {
@@ -165,15 +161,6 @@ func (l logClient) record(ctx context.Context, resp *rpc.Response) error {
 	return err
 }
 
-func (l logClient) snapshot(ctx context.Context) ([]rpc.Response, error) {
-	reply, err := l.svc.Invoke(ctx, component.Message{Op: OpSnapshot})
-	if err != nil {
-		return nil, err
-	}
-	snap, _ := reply.Payload.([]rpc.Response)
-	return snap, nil
-}
-
 func (l logClient) restore(ctx context.Context, snap []rpc.Response) error {
 	_, err := l.svc.Invoke(ctx, component.Message{Op: OpRestoreL, Payload: snap})
 	return err
@@ -203,13 +190,9 @@ func (l logClient) snapshotSince(ctx context.Context, mark uint64) (sinceResult,
 	return res, nil
 }
 
-func (l logClient) appendBatch(ctx context.Context, batch []rpc.Response) error {
-	_, err := l.svc.Invoke(ctx, component.Message{Op: OpAppendLog, Payload: batch})
-	return err
-}
-
-// appendList is appendBatch without the slice-header boxing: the pooled
-// list crosses the boundary by pointer and the log copies the entries.
+// appendList records a batch of replies. The pooled list crosses the
+// boundary by pointer, so no slice header is boxed; the log copies the
+// entries.
 func (l logClient) appendList(ctx context.Context, batch *rpc.ResponseList) error {
 	_, err := l.svc.Invoke(ctx, component.Message{Op: OpAppendLog, Payload: batch})
 	return err

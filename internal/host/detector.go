@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,20 +31,32 @@ type peerDetector struct {
 
 	mu   sync.Mutex
 	subs []*subscriber // in subscription order
+	// suspected is the edge last raised and suspicions counts the
+	// suspicion edges raised; both are written under deliver and mu.
+	suspected  bool
+	suspicions uint64
 	// deliver serializes edge deliveries: subscriber k+1 sees an edge only
 	// after subscriber k's handling of it (a promotion) has returned, and
 	// a recovery edge never overtakes a suspicion still being delivered.
 	deliver sync.Mutex
 }
 
-type subscriber struct{ onEdge func(suspected bool) }
+type subscriber struct {
+	onEdge func(suspected bool)
+	// seen numbers the suspicion edge last delivered here (guarded by
+	// deliver): a recovery goes only to subscribers that saw its
+	// suspicion, and a catch-up never repeats one.
+	seen uint64
+}
 
 // Subscribe delivers the binary suspicion edges of peer to onEdge,
 // building and starting the host's detector for peer on first use. Zero
 // timings take the defaults. The beat interval and suspect timeout are
 // one setting per process pair: a detector already running at another
-// timing is an error. unsubscribe stops the deliveries; the detector
-// itself runs until the host crashes.
+// timing is an error. A subscriber joining while the peer is suspected
+// receives that suspicion edge too, after any delivery in progress.
+// unsubscribe stops the deliveries; the detector itself runs until the
+// host crashes.
 func (h *Host) Subscribe(peer transport.Address, interval, timeout time.Duration, onEdge func(suspected bool)) (unsubscribe func(), err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -60,7 +73,13 @@ func (h *Host) Subscribe(peer transport.Address, interval, timeout time.Duration
 	sub := &subscriber{onEdge: onEdge}
 	d.mu.Lock()
 	d.subs = append(d.subs, sub)
+	catchUp := d.suspected
 	d.mu.Unlock()
+	if catchUp {
+		// Not delivered inline: Subscribe may run inside a delivery (a
+		// handler that deploys a group), which holds deliver.
+		go d.catchUp(sub)
+	}
 	return func() {
 		d.mu.Lock()
 		defer d.mu.Unlock()
@@ -119,6 +138,10 @@ func (h *Host) startDetectorLocked(peer transport.Address, interval, timeout tim
 	d := &peerDetector{interval: interval, timeout: timeout}
 	d.wd = detector.NewWatchdog(peer, timeout, d.onTransition)
 	d.hb = detector.NewHeartbeater(h.ep, interval, peer)
+	// A refused beat is a crash witness: the peer is suspected at once
+	// instead of after the suspect timeout. The edge is delivered on the
+	// heartbeat loop, which has nothing to send to a dead peer meanwhile.
+	d.hb.OnRefused(d.wd.Refused)
 	h.detectors[peer] = d
 	d.hb.Start()
 	d.wd.Start()
@@ -163,10 +186,35 @@ func (d *peerDetector) onTransition(tr detector.Transition) {
 	d.deliver.Lock()
 	defer d.deliver.Unlock()
 	d.mu.Lock()
+	d.suspected = suspected
+	if suspected {
+		d.suspicions++
+	}
+	n := d.suspicions
 	subs := append([]*subscriber(nil), d.subs...)
 	d.mu.Unlock()
 	for _, s := range subs {
+		if !suspected && s.seen != n {
+			continue // joined after this suspicion and not yet caught up
+		}
+		s.seen = n
 		s.onEdge(suspected)
+	}
+}
+
+// catchUp delivers the standing suspicion to a subscriber that joined
+// while the peer was suspected, unless a delivery since has reached it,
+// it has unsubscribed, or a Reset has cleared the verdict.
+func (d *peerDetector) catchUp(sub *subscriber) {
+	d.deliver.Lock()
+	defer d.deliver.Unlock()
+	d.mu.Lock()
+	n := d.suspicions
+	due := d.suspected && sub.seen != n && slices.Contains(d.subs, sub)
+	d.mu.Unlock()
+	if due && d.wd.Suspected() {
+		sub.seen = n
+		sub.onEdge(true)
 	}
 }
 

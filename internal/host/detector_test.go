@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"resilientft/internal/telemetry"
 	"resilientft/internal/transport"
 )
 
@@ -166,4 +167,132 @@ func TestHeartbeatsFromUnwatchedPeersIgnored(t *testing.T) {
 	if a.Watchdog(c.Addr()) != nil {
 		t.Fatal("beats from an unwatched process built a watchdog")
 	}
+}
+
+// edgeRecorder collects one subscriber's edges and the time each arrived.
+type edgeRecorder struct {
+	mu    sync.Mutex
+	edges []bool
+	at    []time.Time
+}
+
+func (r *edgeRecorder) onEdge(suspected bool) {
+	r.mu.Lock()
+	r.edges = append(r.edges, suspected)
+	r.at = append(r.at, time.Now())
+	r.mu.Unlock()
+}
+
+func (r *edgeRecorder) String() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return fmt.Sprint(r.edges)
+}
+
+// first returns the arrival time of the first edge, zero before it.
+func (r *edgeRecorder) first() time.Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.at) == 0 {
+		return time.Time{}
+	}
+	return r.at[0]
+}
+
+// watchedPair subscribes a to b and b to a, and returns once a has heard
+// b: a's watchdog has folded at least two of b's beats.
+func watchedPair(t *testing.T, name string, interval, timeout time.Duration) (*transport.MemNetwork, *Host, *Host, *edgeRecorder) {
+	t.Helper()
+	net := transport.NewMemNetwork()
+	a, b := newHostPair(t, net, name+"-a", name+"-b")
+	arrivals := telemetry.Default().Histogram("detector_interarrival", "peer", string(b.Addr()))
+	heard := arrivals.Count()
+	rec := &edgeRecorder{}
+	if _, err := a.Subscribe(b.Addr(), interval, timeout, rec.onEdge); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Subscribe(a.Addr(), interval, timeout, func(bool) {}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return arrivals.Count() > heard }, "a never heard b's beats")
+	return net, a, b, rec
+}
+
+// TestCrashedPeerSuspectedByRefusal: a crashed host's endpoint refuses
+// the survivor's next beat, and that refusal raises the suspicion edge
+// within two beat intervals, far inside a suspect timeout φ would need.
+func TestCrashedPeerSuspectedByRefusal(t *testing.T) {
+	const interval, timeout = 50 * time.Millisecond, 10 * time.Second
+	_, a, b, rec := watchedPair(t, "refused", interval, timeout)
+	refused := telemetry.Default().Counter("detector_suspicions_total", "reason", "refused")
+	before := refused.Value()
+
+	crashed := time.Now()
+	b.Crash()
+	waitFor(t, func() bool { return !rec.first().IsZero() }, "crashed peer never suspected")
+	if took := rec.first().Sub(crashed); took > 2*interval {
+		t.Fatalf("suspicion edge %v after the crash, want within two beat intervals (%v)", took, 2*interval)
+	}
+	if rec.String() != "[true]" {
+		t.Fatalf("edges %s, want [true]", rec)
+	}
+	if got := refused.Value() - before; got != 1 {
+		t.Fatalf("refused suspicions grew by %d, want 1", got)
+	}
+	if !a.Watchdog(b.Addr()).Suspected() {
+		t.Fatal("watchdog not suspected after its edge")
+	}
+}
+
+// TestPartitionedPeerSuspectedByPhiOnly: a partition loses beats
+// silently, so the peer is suspected by accrued silence — not before the
+// watchdog's acceptable pause has passed — and never for a refusal.
+func TestPartitionedPeerSuspectedByPhiOnly(t *testing.T) {
+	const interval, timeout = 10 * time.Millisecond, 200 * time.Millisecond
+	net, a, b, rec := watchedPair(t, "partitioned", interval, timeout)
+	refused := telemetry.Default().Counter("detector_suspicions_total", "reason", "refused")
+	phi := telemetry.Default().Counter("detector_suspicions_total", "reason", "phi")
+	refusedBefore, phiBefore := refused.Value(), phi.Value()
+
+	cut := time.Now()
+	net.Partition(a.Addr(), b.Addr())
+	waitFor(t, func() bool { return !rec.first().IsZero() }, "partitioned peer never suspected")
+	// The acceptable pause (half the timeout) is deducted from the
+	// silence before φ accrues at all; the last beat may predate the cut
+	// by one interval.
+	if took := rec.first().Sub(cut); took < timeout/2-interval {
+		t.Fatalf("partitioned peer suspected %v after the cut, before the φ path could fire", took)
+	}
+	if got := refused.Value() - refusedBefore; got != 0 {
+		t.Fatalf("a partition raised %d refused suspicions", got)
+	}
+	if phi.Value() == phiBefore {
+		t.Fatal("the partition's suspicion was not counted as φ")
+	}
+}
+
+// TestLateSubscriberGetsStandingSuspicion: a group that subscribes while
+// the host already suspects the peer receives that suspicion edge once,
+// and then the recovery edge like every other subscriber.
+func TestLateSubscriberGetsStandingSuspicion(t *testing.T) {
+	const interval, timeout = 10 * time.Millisecond, 60 * time.Millisecond
+	_, a, b, early := watchedPair(t, "late", interval, timeout)
+	b.Crash()
+	waitFor(t, func() bool { return early.String() == "[true]" }, "crashed peer never suspected")
+
+	late := &edgeRecorder{}
+	if _, err := a.Subscribe(b.Addr(), interval, timeout, late.onEdge); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return late.String() == "[true]" },
+		"a subscriber joining a standing suspicion got no edge")
+
+	if err := b.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Subscribe(a.Addr(), interval, timeout, func(bool) {}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return early.String() == "[true false]" && late.String() == "[true false]" },
+		"recovery edge not delivered once to both subscribers")
 }

@@ -220,10 +220,13 @@ func (h *Host) Restarts() int {
 	return h.restarts
 }
 
-// Crash fails the host: the endpoint closes (crash faults are fail-silent
-// — the node just stops answering), the crash switch trips, the failure
-// detectors fall silent, and the component runtime is discarded.
-// Volatile state is lost; the stable store survives.
+// Crash fails the host: the endpoint closes, the crash switch trips, the
+// failure detectors fall silent, and the component runtime is discarded.
+// Volatile state is lost; the stable store survives. A crashed node
+// sends nothing, but it is not silent to its peers: like a TCP port
+// whose process died, its closed endpoint refuses their traffic
+// (transport.ErrRefused), and a peer's heartbeater takes the refusal as
+// the crash witness.
 func (h *Host) Crash() {
 	h.mu.Lock()
 	ep := h.ep

@@ -216,8 +216,10 @@ func (n *MemNetwork) route(from, to Address, oneWay bool) (routeInfo, error) {
 		return routeInfo{}, fmt.Errorf("%w: %s -> %s (partitioned)", ErrUnreachable, from, to)
 	}
 	if !ok || target.isClosed() {
+		// Nothing is attached at the address: like a TCP dial to a port
+		// nobody listens on, the sender learns it at once.
 		CountDrop(DropUnreachable)
-		return routeInfo{}, fmt.Errorf("%w: %s", ErrUnreachable, to)
+		return routeInfo{}, fmt.Errorf("%w: %w: %s", ErrUnreachable, ErrRefused, to)
 	}
 	ri := routeInfo{target: target, delay: n.latency}
 	jitter := n.jitter

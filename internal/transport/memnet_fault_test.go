@@ -139,8 +139,8 @@ func TestLinkFaultCallLoss(t *testing.T) {
 	n.SetLinkFault("a", "b", LinkFault{DropCalls: 1.0})
 
 	before := DropCount(DropCallLoss)
-	if _, err := a.Call(context.Background(), "b", "echo", []byte("x")); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("want call loss as unreachable, got %v", err)
+	if _, err := a.Call(context.Background(), "b", "echo", []byte("x")); !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrRefused) {
+		t.Fatalf("want call loss as unreachable, not refused, got %v", err)
 	}
 	if len(*got) != 0 {
 		t.Fatalf("request-leg loss must not reach the handler, got %d deliveries", len(*got))

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -309,7 +310,11 @@ func (e *TCPEndpoint) dialAndRead(c *tcpConn, to Address) {
 	d := net.Dialer{Timeout: tcpDialTimeout}
 	conn, err := d.Dial("tcp", string(to))
 	if err != nil {
-		c.dialErr = fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
+		if errors.Is(err, syscall.ECONNREFUSED) {
+			c.dialErr = fmt.Errorf("%w: %w: %s: %v", ErrUnreachable, ErrRefused, to, err)
+		} else {
+			c.dialErr = fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
+		}
 		e.dropConn(to, c)
 		close(c.dialed)
 		return

@@ -38,7 +38,7 @@ type Endpoint interface {
 	// Call performs a request/reply round-trip.
 	Call(ctx context.Context, to Address, kind string, payload []byte) ([]byte, error)
 	// Close detaches the endpoint; subsequent traffic to it fails with
-	// ErrUnreachable.
+	// ErrUnreachable wrapping ErrRefused.
 	Close() error
 }
 
@@ -46,6 +46,11 @@ type Endpoint interface {
 var (
 	// ErrUnreachable reports a destination with no live endpoint.
 	ErrUnreachable = errors.New("transport: destination unreachable")
+	// ErrRefused accompanies ErrUnreachable when the destination's host
+	// actively refused the connection: nothing listens at the address
+	// (its process is gone), as opposed to a partition or a slow link,
+	// which stay silent. It is a crash witness for the failure detector.
+	ErrRefused = errors.New("transport: connection refused")
 	// ErrNoHandler reports a message kind with no registered handler.
 	ErrNoHandler = errors.New("transport: no handler for message kind")
 	// ErrClosed reports use of a closed endpoint.

@@ -94,8 +94,12 @@ func TestMemPartition(t *testing.T) {
 	b.Handle("echo", func(ctx context.Context, p Packet) ([]byte, error) { return p.Payload, nil })
 
 	n.Partition("a", "b")
-	if _, err := a.Call(context.Background(), "b", "echo", nil); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("Call across partition: err = %v, want ErrUnreachable", err)
+	if _, err := a.Call(context.Background(), "b", "echo", nil); !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrRefused) {
+		t.Fatalf("Call across partition: err = %v, want ErrUnreachable without ErrRefused", err)
+	}
+	// A partition is silence, not a refusal: it is not a crash witness.
+	if err := a.Send(context.Background(), "b", "echo", nil); !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrRefused) {
+		t.Fatalf("Send across partition: err = %v, want ErrUnreachable without ErrRefused", err)
 	}
 	n.Heal("a", "b")
 	if _, err := a.Call(context.Background(), "b", "echo", nil); err != nil {
@@ -116,8 +120,13 @@ func TestMemClosedEndpointUnreachable(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := a.Call(context.Background(), "b", "echo", nil); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("Call closed endpoint: err = %v, want ErrUnreachable", err)
+	if _, err := a.Call(context.Background(), "b", "echo", nil); !errors.Is(err, ErrUnreachable) || !errors.Is(err, ErrRefused) {
+		t.Fatalf("Call closed endpoint: err = %v, want ErrUnreachable and ErrRefused", err)
+	}
+	// A closed endpoint is what a crashed host leaves behind: it refuses,
+	// as a TCP port with no listener does.
+	if err := a.Send(context.Background(), "b", "echo", nil); !errors.Is(err, ErrUnreachable) || !errors.Is(err, ErrRefused) {
+		t.Fatalf("Send to closed endpoint: err = %v, want ErrUnreachable and ErrRefused", err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatalf("Close a: %v", err)
@@ -354,8 +363,13 @@ func TestTCPClosedUnreachable(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := a.Call(context.Background(), addr, "echo", nil); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("Call closed TCP endpoint: err = %v, want ErrUnreachable", err)
+	if _, err := a.Call(context.Background(), addr, "echo", nil); !errors.Is(err, ErrUnreachable) || !errors.Is(err, ErrRefused) {
+		t.Fatalf("Call closed TCP endpoint: err = %v, want ErrUnreachable and ErrRefused", err)
+	}
+	// Nothing listens at the address any more, so the dial is refused:
+	// the crash witness a heartbeat reports to the failure detector.
+	if err := a.Send(context.Background(), addr, "beat", nil); !errors.Is(err, ErrUnreachable) || !errors.Is(err, ErrRefused) {
+		t.Fatalf("Send to closed TCP endpoint: err = %v, want ErrUnreachable and ErrRefused", err)
 	}
 }
 
@@ -425,8 +439,8 @@ func TestTCPCallContextTimeout(t *testing.T) {
 	defer close(release)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := a.Call(ctx, b.Addr(), "stall", nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Call: err = %v, want context.DeadlineExceeded", err)
+	if _, err := a.Call(ctx, b.Addr(), "stall", nil); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrRefused) {
+		t.Fatalf("Call: err = %v, want context.DeadlineExceeded, not ErrRefused", err)
 	}
 	// The connection survives an abandoned call: later calls still work.
 	b.Handle("echo", func(ctx context.Context, p Packet) ([]byte, error) {
